@@ -7,6 +7,14 @@ binomial mixture over the polarization split: interference of the surviving
 parallel photons convolved with the plain binomial splitting of the
 orthogonal remainder.  The equivalence with a coherent four-mode evolution
 is still verified at small S in the test suite.
+
+Loss is binomial thinning B_eta[k, j] = C(j, k) eta^k (1-eta)^(j-k), with
+B_eta1 B_eta2 = B_(eta1 eta2); uniform loss commutes with a passive beam
+splitter (Oszmaniec & Brod, NJP 20, 092002, 2018).  Sources surviving with
+eta = m rho are thinned by rho before the splitter and by m after it, as
+B_m M B_m^T on the dense (p, q) count array M.  The float path takes m as the
+largest eta of the non-vacuum sources (a vacuum source's eta changes nothing),
+so only the other source is mixed; exact mode mixes every input count pair.
 """
 from __future__ import annotations
 
@@ -15,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, Mapping, Tuple
+
+import numpy as np
 
 from .closedform import amplitude_expansion
 from .errors import ModeError, NoSolution, RangeError
@@ -26,6 +36,33 @@ from .states import (
     JointCountDistribution,
     NumericMode,
 )
+
+
+def _binomial(count: int, p):
+    """Probabilities of k = 0..count successes in count trials of probability p."""
+    return [comb(count, k) * p**k * (1 - p) ** (count - k) for k in range(count + 1)]
+
+
+def _thinning(size: int, eta, dtype=float) -> np.ndarray:
+    """B_eta[k, j] for 0 <= k, j <= size, column by column by Pascal's rule."""
+    table = np.zeros((size + 1, size + 1), dtype=dtype)
+    table[0, 0] = 1
+    for j in range(1, size + 1):
+        table[:, j] = (1 - eta) * table[:, j - 1]
+        table[1:, j] += eta * table[:-1, j - 1]
+    return table
+
+
+def _add(grid: np.ndarray, joint: JointCountDistribution, weight=1):
+    """Add weight times the joint count map into the dense (p, q) array."""
+    ports = tuple(zip(*joint.entries))
+    grid[ports] += weight * np.array(list(joint.entries.values()), dtype=grid.dtype)
+
+
+def _joint(grid: np.ndarray, keep: np.ndarray) -> JointCountDistribution:
+    """The dense (p, q) array as a count map over the cells where keep holds."""
+    ps, qs = np.nonzero(keep)
+    return JointCountDistribution(dict(zip(zip(ps.tolist(), qs.tolist()), grid[ps, qs].tolist())))
 
 
 @dataclass(frozen=True)
@@ -52,20 +89,9 @@ class DistinguishabilityAngle:
 
     def weights(self, count: int, exact: bool = False):
         """Binomial weights over the parallel-sector photon number n."""
-        if exact:
-            if self.y == 0.0:
-                cos_sq, sin_sq = Fraction(1), Fraction(0)
-            elif self.y == math.pi / 2:
-                cos_sq, sin_sq = Fraction(0), Fraction(1)
-            else:
-                raise ModeError("exact weights exist only at y = 0 or y = pi/2")
-        else:
-            cos_sq = math.cos(self.y) ** 2
-            sin_sq = 1.0 - cos_sq
-        return [
-            comb(count, n) * cos_sq**n * sin_sq ** (count - n)
-            for n in range(count + 1)
-        ]
+        if exact and self.y not in (0.0, math.pi / 2):
+            raise ModeError("exact weights exist only at y = 0 or y = pi/2")
+        return _binomial(count, Fraction(self.y == 0.0) if exact else math.cos(self.y) ** 2)
 
 
 @dataclass(frozen=True)
@@ -83,11 +109,7 @@ class MixedFockSource:
 
     def weights(self):
         """Probability of k surviving photons, k = 0..K; sums to 1."""
-        eta = self.eta
-        return [
-            comb(self.nominal, k) * eta**k * (1 - eta) ** (self.nominal - k)
-            for k in range(self.nominal + 1)
-        ]
+        return _binomial(self.nominal, self.eta)
 
     def mean_photons(self):
         return self.eta * self.nominal
@@ -116,13 +138,6 @@ class Detector:
             raise RangeError("resolution must be a positive integer")
 
 
-def _port_probability_a(bs: BeamSplitter, exact: bool):
-    # a-photon exits the first port with probability 1-r (fixed by the
-    # single-photon expansion); b-photon with probability r
-    r = bs.value(exact) if exact else bs.reflectivity
-    return 1 - r
-
-
 def decohere_distribution(
     pair: FockPair,
     angle: DistinguishabilityAngle,
@@ -142,29 +157,20 @@ def decohere_distribution(
         raise RangeError("rotated_beam must be 'a' or 'b'")
     total = pair.total
     exact = mode.is_exact
-    rotated = pair.mode_a if rotated_beam == "a" else pair.mode_b
-    fixed = pair.mode_b if rotated_beam == "a" else pair.mode_a
-    stay = _port_probability_a(bs, exact)  # rotated-beam photon -> first port
-    if rotated_beam == "b":
-        stay = 1 - stay
-    weights = angle.weights(rotated, exact)
-    zero = Fraction(0) if exact else 0.0
-    out = [zero] * (total + 1)
-    for n, w in enumerate(weights):
+    order = 1 if rotated_beam == "a" else -1  # input modes as (rotated, fixed)
+    rotated, fixed = (pair.mode_a, pair.mode_b)[::order]
+    r = bs.value(exact)
+    out = np.zeros(total + 1, dtype=object if exact else float)
+    for n, w in enumerate(angle.weights(rotated, exact)):
         if w == 0:
             continue
-        if rotated_beam == "a":
-            joint = amplitude_expansion(n, fixed, bs, mode)
-        else:
-            joint = amplitude_expansion(fixed, n, bs, mode)
-        spare = rotated - n  # orthogonal photons, split binomially
-        for (p_par, _q), prob in joint.items():
-            if prob == 0:
-                continue
-            for extra in range(spare + 1):
-                split = comb(spare, extra) * stay**extra * (1 - stay) ** (spare - extra)
-                out[p_par + extra] += w * prob * split
-    return DeltaDistribution(total, tuple(out))
+        joint = amplitude_expansion(*(n, fixed)[::order], bs, mode)
+        parallel = [joint.probability(p, n + fixed - p) for p in range(n + fixed + 1)]
+        # the orthogonal photons split binomially over the ports: an a-photon
+        # exits the first port with probability 1-r (fixed by the single-photon
+        # expansion), a b-photon with r; the 1-r split is the r split reversed
+        out += w * np.convolve(parallel, _binomial(rotated - n, r)[::-order])
+    return DeltaDistribution(total, tuple(out.tolist()))
 
 
 def classical_reference(pair: FockPair, bs: BeamSplitter) -> DeltaDistribution:
@@ -175,16 +181,9 @@ def classical_reference(pair: FockPair, bs: BeamSplitter) -> DeltaDistribution:
     count is their convolution.  Computed directly from binomials, with no
     interference machinery, as an independent classical reference.
     """
-    total = pair.total
-    cap_k, cap_l = pair.mode_a, pair.mode_b
-    r = bs.reflectivity
-    out = [0.0] * (total + 1)
-    for i in range(cap_k + 1):
-        weight_a = comb(cap_k, i) * (1 - r) ** i * r ** (cap_k - i)
-        for j in range(cap_l + 1):
-            weight_b = comb(cap_l, j) * r**j * (1 - r) ** (cap_l - j)
-            out[i + j] += weight_a * weight_b
-    return DeltaDistribution(total, tuple(out))
+    r = bs.reflectivity  # the 1-r split is the r split reversed, with no 1-(1-r)
+    out = np.convolve(_binomial(pair.mode_a, r)[::-1], _binomial(pair.mode_b, r))
+    return DeltaDistribution(pair.total, tuple(out.tolist()))
 
 
 def mixed_distribution(
@@ -196,42 +195,48 @@ def mixed_distribution(
     """Output counts for two independently degraded Fock sources.
 
     Totals vary between terms, so the result lives on joint counts; the
-    Delta_out marginal no longer has a strict parity comb.
+    Delta_out marginal no longer has a strict parity comb.  The entries are
+    every (p, q) whose total some pair of input counts reaches.
     """
-    weights_a = src_a.weights()
-    weights_b = src_b.weights()
-    acc: Dict[Tuple[int, int], float] = {}
-    for k, w_k in enumerate(weights_a):
-        if w_k == 0:
-            continue
-        for l, w_l in enumerate(weights_b):
-            if w_l == 0:
-                continue
-            joint = amplitude_expansion(k, l, bs, mode)
-            scale = w_k * w_l
-            for key, prob in joint.items():
-                acc[key] = acc.get(key, 0) + scale * prob
-    return JointCountDistribution(acc)
+    sources = (src_a, src_b)
+    size = src_a.nominal + src_b.nominal
+    grid = np.zeros((size + 1, size + 1), dtype=object if mode.is_exact else float)
+    # the common survival probability m; exact mode leaves it in the sources
+    common = 1 if mode.is_exact else float(max((s.eta for s in sources if s.nominal), default=0))
+    if common == 0:
+        grid[0, 0] = 1.0
+    else:
+        residual_a, residual_b = (_binomial(src.nominal, src.eta / common) for src in sources)
+        for k, w_k in enumerate(residual_a):
+            for l, w_l in enumerate(residual_b):
+                if w_k != 0 and w_l != 0:
+                    _add(grid, amplitude_expansion(k, l, bs, mode), w_k * w_l)
+        if common != 1:
+            thin = _thinning(size, common)
+            grid = thin @ grid @ thin.T
+    reached = np.flatnonzero(np.convolve(*(np.array(src.weights()) != 0 for src in sources)))
+    counts = np.arange(size + 1)
+    return _joint(grid, np.isin(np.add.outer(counts, counts), reached))
 
 
 def apply_detector_loss(
     joint: JointCountDistribution, det: Detector
 ) -> JointCountDistribution:
-    """Independent binomial thinning of each port's count."""
+    """Independent binomial thinning of each port's count.
+
+    The entries are every (p, q) at or below a count the input supports.
+    Exact efficiency and entries keep exact arithmetic.
+    """
     eff = det.efficiency
     if eff == 1.0:
         return joint
-    acc: Dict[Tuple[int, int], float] = {}
-    for (p, q), prob in joint.items():
-        if prob == 0:
-            continue
-        for kept_p in range(p + 1):
-            thin_p = comb(p, kept_p) * eff**kept_p * (1 - eff) ** (p - kept_p)
-            for kept_q in range(q + 1):
-                thin_q = comb(q, kept_q) * eff**kept_q * (1 - eff) ** (q - kept_q)
-                key = (kept_p, kept_q)
-                acc[key] = acc.get(key, 0) + prob * thin_p * thin_q
-    return JointCountDistribution(acc)
+    exact = all(isinstance(v, (int, Fraction)) for v in (eff, *joint.entries.values()))
+    size = max(max(key) for key in joint.entries)
+    grid = np.zeros((size + 1, size + 1), dtype=object if exact else float)
+    _add(grid, joint)
+    thin = _thinning(size, eff if exact else float(eff), grid.dtype)
+    below = np.logical_or.accumulate(np.logical_or.accumulate(grid[::-1, ::-1] != 0), axis=1)
+    return _joint(thin @ grid @ thin.T, below[::-1, ::-1])
 
 
 def bin_resolution(marginal: Mapping[int, float], width: int) -> Dict[int, float]:
@@ -272,6 +277,15 @@ def _purity_of(nominal: int, eta: float) -> float:
     return purity(MixedFockSource(nominal, eta))
 
 
+def _bisect(increasing, target: float, tol: float) -> float:
+    """Where an increasing function of eta crosses target on [1/2, 1]."""
+    lo, hi = 0.5, 1.0
+    while hi - lo > tol * 0.5:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if increasing(mid) < target else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def eta_for_purity(nominal: int, target: float, tol: float = 1e-12) -> float:
     """Survival probability giving the requested purity, by bisection.
 
@@ -289,16 +303,7 @@ def eta_for_purity(nominal: int, target: float, tol: float = 1e-12) -> float:
         raise NoSolution(
             f"purity {target} below the achievable floor {floor:.6f} for K={nominal}"
         )
-    lo, hi = 0.5, 1.0
-    if not (_purity_of(nominal, lo) <= target <= _purity_of(nominal, hi)):
-        raise NoSolution("purity not monotone on the bracket; target unreachable")
-    while hi - lo > tol * 0.5:
-        mid = 0.5 * (lo + hi)
-        if _purity_of(nominal, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda eta: _purity_of(nominal, eta), target, tol)
 
 
 def eta_for_joint_purity(
@@ -319,11 +324,4 @@ def eta_for_joint_purity(
         raise NoSolution(
             f"joint purity {target} below the achievable floor {joint(0.5):.6f}"
         )
-    lo, hi = 0.5, 1.0
-    while hi - lo > tol * 0.5:
-        mid = 0.5 * (lo + hi)
-        if joint(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(joint, target, tol)

@@ -102,12 +102,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merged(args, config: dict, key: str, default=None):
-    """CLI flag wins over config file, which wins over the default."""
+    """CLI flag wins over config file, which wins over the default.
+
+    A parameter with no flag, no config entry and no default is missing.
+    """
     value = getattr(args, key, None)
     if value is not None:
         return value
     if key in config:
         return config[key]
+    if default is None:
+        raise LeapError(f"missing --{key} (give the flag or set {key}= in the config file)")
     return default
 
 
@@ -647,9 +652,8 @@ def main(argv=None) -> int:
     try:
         config = _load_config(getattr(args, "config", None))
         return args.func(args, config)
-    except (ValueError, TypeError, OSError) as exc:
-        # LeapError subclasses ValueError; TypeError covers parameters
-        # missing from both the command line and the config file
+    except (ValueError, OSError) as exc:
+        # LeapError subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,32 @@
 """Distinguishability, mixed sources, detector loss, binning, 2-D products."""
 import math
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homleap as hl
 from fourmode import four_mode_delta_marginal
+
+
+def max_abs_gap(got, exact):
+    """Largest |float - exact| over the union of two count maps."""
+    keys = set(got.entries) | set(exact.entries)
+    return max(abs(got.probability(*key) - float(exact.probability(*key))) for key in keys)
+
+
+def literal_thinning(joint, eff):
+    """Binomial thinning summed term by term over every kept count pair."""
+    out = {}
+    for (p, q), prob in joint.items():
+        for i in range(p + 1):
+            for j in range(q + 1):
+                thin = comb(p, i) * eff**i * (1 - eff) ** (p - i)
+                thin *= comb(q, j) * eff**j * (1 - eff) ** (q - j)
+                out[(i, j)] = out.get((i, j), 0) + prob * thin
+    return out
 
 
 class TestDecoherence:
@@ -37,6 +58,10 @@ class TestDecoherence:
             (6, 3, math.pi / 6, 0.5, "a"),
             (6, 2, 0.4, 0.3, "a"),
             (6, 5, 0.9, 0.62, "b"),
+            (7, 0, 0.7, 0.45, "a"),
+            (7, 7, 1.2, 0.15, "b"),
+            (5, 2, 0.0, 0.3, "a"),
+            (5, 3, math.pi / 2, 0.8, "b"),
         ],
     )
     def test_matches_four_mode_evolution(self, total, n_b, y, r, beam):
@@ -47,7 +72,29 @@ class TestDecoherence:
             pair, hl.DistinguishabilityAngle(y), hl.BeamSplitter(r), rotated_beam=beam
         )
         worst = max(abs(reference.get(d, 0.0) - got.prob(d)) for d in range(-total, total + 1))
-        assert worst < 1e-10
+        assert worst < 1e-14
+
+    @pytest.mark.parametrize("total,n_b", [(1, 0), (6, 3), (9, 2), (12, 12)])
+    @pytest.mark.parametrize("r", ["1/10", "1/2", "7/10"])
+    @pytest.mark.parametrize("beam", ["a", "b"])
+    def test_float_endpoints_match_exact(self, total, n_b, r, beam):
+        # y = 0 is the pure process; y = pi/2 two independent binomial splittings
+        exact_bs = hl.BeamSplitter.exact(r)
+        pair = hl.FockPair.from_modes(total - n_b, n_b)
+        r, cap_k, cap_l = Fraction(r), pair.mode_a, pair.mode_b
+        classical = [Fraction(0)] * (total + 1)
+        for i in range(cap_k + 1):
+            for j in range(cap_l + 1):
+                classical[i + j] += (
+                    comb(cap_k, i) * (1 - r) ** i * r ** (cap_k - i)
+                    * comb(cap_l, j) * r**j * (1 - r) ** (cap_l - j)
+                )
+        pure = hl.distribution(pair, exact_bs, hl.RATIONAL).probs
+        for y, exact in ((0.0, pure), (math.pi / 2, classical)):
+            got = hl.decohere_distribution(
+                pair, hl.DistinguishabilityAngle(y), exact_bs, rotated_beam=beam
+            )
+            assert max(abs(g - float(e)) for g, e in zip(got.probs, exact)) < 1e-14
 
     def test_intermediate_angle_moves_peaks_inward(self):
         # the double peak drifts toward the center as y grows
@@ -81,7 +128,47 @@ class TestDecoherence:
             assert abs(math.fsum(dist.to_floats()) - 1.0) < 1e-12
 
 
+MIXED_CASES = [
+    # K, L, eta_a, eta_b, r
+    (3, 3, "4/5", "4/5", "1/2"),  # equal eta: one lossless expansion
+    (6, 4, "9/10", "1/3", "2/5"),  # unequal, second source lower
+    (2, 5, "1/4", "7/8", "1/10"),  # unequal, first source lower
+    (6, 6, "2/3", "3/4", "9/10"),
+    (0, 5, "1/3", "3/4", "1/2"),  # a vacuum source's eta is ignored
+    (4, 0, "5/6", "0", "3/10"),
+    (5, 6, "0", "2/3", "7/10"),  # one source lost entirely
+    (3, 2, "0", "0", "1/2"),  # everything lost
+    (6, 6, "1", "1", "1/2"),  # lossless
+    (4, 3, "1", "3/5", "1/5"),
+    (0, 0, "1/2", "1/2", "1/2"),  # two vacua
+]
+
+
 class TestMixedSources:
+    @pytest.mark.parametrize("cap_k,cap_l,eta_a,eta_b,r", MIXED_CASES)
+    def test_float_algebra_matches_exact_double_sum(self, cap_k, cap_l, eta_a, eta_b, r):
+        src_a = hl.MixedFockSource(cap_k, Fraction(eta_a))
+        src_b = hl.MixedFockSource(cap_l, Fraction(eta_b))
+        bs = hl.BeamSplitter.exact(r)
+        exact = hl.mixed_distribution(src_a, src_b, bs, hl.RATIONAL)
+        got = hl.mixed_distribution(src_a, src_b, bs)
+        assert set(got.entries) == set(exact.entries)
+        assert max_abs_gap(got, exact) < 1e-14
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.fractions(0, 1, max_denominator=30),
+        st.fractions(0, 1, max_denominator=30),
+        st.fractions(0, 1, max_denominator=30),
+    )
+    def test_float_algebra_matches_exact_double_sum_drawn(self, cap_k, cap_l, eta_a, eta_b, r):
+        src_a, src_b = hl.MixedFockSource(cap_k, eta_a), hl.MixedFockSource(cap_l, eta_b)
+        bs = hl.BeamSplitter.exact(r)
+        exact = hl.mixed_distribution(src_a, src_b, bs, hl.RATIONAL)
+        assert max_abs_gap(hl.mixed_distribution(src_a, src_b, bs), exact) < 1e-14
+
     def test_pure_limit(self):
         bs = hl.BeamSplitter(0.37)
         joint = hl.mixed_distribution(
@@ -156,6 +243,60 @@ class TestDetectorLoss:
         joint = hl.amplitude_expansion(5, 5, hl.BeamSplitter(0.5))
         lossy = hl.apply_detector_loss(joint, hl.Detector(efficiency=0.73))
         assert abs(math.fsum(lossy.entries.values()) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize(
+        "start,table",
+        [
+            # hand-computed thinning at efficiency e
+            ({(1, 0): 1}, lambda e: {(1, 0): e, (0, 0): 1 - e}),
+            (
+                {(2, 0): 1},
+                lambda e: {(2, 0): e * e, (1, 0): 2 * e * (1 - e), (0, 0): (1 - e) ** 2},
+            ),
+            (
+                {(1, 1): 1},
+                lambda e: {
+                    (1, 1): e * e,
+                    (1, 0): e * (1 - e),
+                    (0, 1): e * (1 - e),
+                    (0, 0): (1 - e) ** 2,
+                },
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("eff_1,eff_2", [("9/10", "9/10"), ("4/5", "1/3"), ("1/2", "7/10")])
+    def test_two_losses_compose_to_their_product(self, start, table, eff_1, eff_2):
+        eff_1, eff_2 = Fraction(eff_1), Fraction(eff_2)
+        expected = table(eff_1 * eff_2)
+        # exact entries and efficiencies stay exact
+        exact = hl.JointCountDistribution(start)
+        for eff in (eff_1, eff_2):
+            exact = hl.apply_detector_loss(exact, hl.Detector(efficiency=eff))
+        assert dict(exact.entries) == expected
+        joint = hl.JointCountDistribution({key: float(p) for key, p in start.items()})
+        twice = joint
+        for eff in (eff_1, eff_2):
+            twice = hl.apply_detector_loss(twice, hl.Detector(efficiency=float(eff)))
+        once = hl.apply_detector_loss(joint, hl.Detector(efficiency=float(eff_1 * eff_2)))
+        for key, prob in expected.items():
+            assert abs(twice.probability(*key) - float(prob)) < 1e-14
+            assert abs(once.probability(*key) - float(prob)) < 1e-14
+
+    @pytest.mark.parametrize("cap_k,cap_l,r", [(5, 5, "1/2"), (6, 2, "1/5"), (0, 7, "3/10")])
+    @pytest.mark.parametrize("eff_1,eff_2", [("9/10", "4/5"), ("1/4", "2/3")])
+    def test_composition_and_literal_sum_on_expansions(self, cap_k, cap_l, r, eff_1, eff_2):
+        bs = hl.BeamSplitter.exact(r)
+        exact_joint = hl.amplitude_expansion(cap_k, cap_l, bs, hl.RATIONAL)
+        eff = Fraction(eff_1) * Fraction(eff_2)
+        oracle = hl.JointCountDistribution(literal_thinning(exact_joint, eff))
+        joint = hl.amplitude_expansion(cap_k, cap_l, bs)
+        once = hl.apply_detector_loss(joint, hl.Detector(efficiency=float(eff)))
+        twice = hl.apply_detector_loss(
+            hl.apply_detector_loss(joint, hl.Detector(efficiency=float(Fraction(eff_1)))),
+            hl.Detector(efficiency=float(Fraction(eff_2))),
+        )
+        assert max_abs_gap(once, oracle) < 1e-14
+        assert max_abs_gap(twice, oracle) < 1e-14
 
     def test_efficiency_bounds(self):
         with pytest.raises(hl.RangeError):

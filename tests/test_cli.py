@@ -121,6 +121,21 @@ class TestSweep:
             assert math.isclose(total, 1.0, abs_tol=1e-12)
 
 
+class TestMissingParameters:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("sweep", "--param", "eta", "--grid", "0.9", "--r", "0.5"), "--k"),
+            (("dist", "--delta", "0", "--r", "0.5"), "--s"),
+        ],
+    )
+    def test_missing_flag_is_named(self, capsys, argv, flag):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"missing {flag}" in err
+        assert "NoneType" not in err
+
+
 class TestCheck:
     @pytest.mark.parametrize("suite", ["parity", "visibility", "decoherence"])
     def test_suites_pass(self, capsys, suite):
