@@ -39,8 +39,23 @@ from .states import (
 
 
 def _binomial(count: int, p):
-    """Probabilities of k = 0..count successes in count trials of probability p."""
-    return [comb(count, k) * p**k * (1 - p) ** (count - k) for k in range(count + 1)]
+    """Probabilities of k = 0..count successes in count trials of probability p.
+
+    Float p walks the ratio w[k+1] / w[k] = (n-k) p / ((k+1) (1-p)) out from
+    the mode and normalizes, so no C(n, k) becomes a float (it overflows
+    above about 1030 trials); exact p keeps the literal formula.
+    """
+    if not isinstance(p, float):
+        return [comb(count, k) * p**k * (1 - p) ** (count - k) for k in range(count + 1)]
+    weights = [0.0] * (count + 1)
+    mode = min(count, int((count + 1) * p))
+    weights[mode] = 1.0
+    for k in range(mode, count):
+        weights[k + 1] = weights[k] * (count - k) * p / ((k + 1) * (1 - p))
+    for k in range(mode, 0, -1):
+        weights[k - 1] = weights[k] * k * (1 - p) / ((count - k + 1) * p)
+    norm = math.fsum(weights)
+    return [w / norm for w in weights]
 
 
 def _thinning(size: int, eta, dtype=float) -> np.ndarray:

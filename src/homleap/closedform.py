@@ -1,16 +1,16 @@
 """Closed-form output statistics of two Fock states meeting at a beam splitter.
 
-Two routes are provided.  `amplitude_expansion` expands the output state
-term by term (the double sum over how many photons from each input end up
-in the first port) and squares collected amplitudes; `prob_delta_out` and
-`distribution` evaluate the single-sum closed form directly.  The closed
-form's port/sign convention is pinned by the single-photon case: a photon
-entering the first mode leaves through the first port with probability
-1-r, so r = 0 is the identity and r = 1 maps Delta to -Delta.
+`amplitude_expansion` expands the output state term by term and squares
+collected amplitudes; the single-sum closed form (`closed_form_terms`, and
+`prob_delta_out`/`distribution` in exact-rational mode) evaluates each
+outcome directly.  The port/sign convention is pinned by the single-photon
+case: a photon entering the first mode leaves through the first port with
+probability 1-r, so r = 0 is the identity and r = 1 maps Delta to -Delta.
 
-The alternating sum cancels catastrophically for large S in floating
-point, so the float path switches to the stable Wigner-rotation recurrence
-above S = 30; exact-rational mode always evaluates the sum literally.
+Float results use one algorithm on each side of one size seam: at and
+below DIRECT_FLOAT_LIMIT the expansion's alternating sum per outcome
+(`_count_probability`, which exact mode evaluates in Fractions), above it
+the squared eigenvector column of `walk`.
 """
 from __future__ import annotations
 
@@ -31,8 +31,13 @@ from .states import (
 )
 from . import walk
 
-#: largest S for which the float path evaluates the alternating sum directly
-DIRECT_FLOAT_LIMIT = 30
+#: largest S whose float distributions come from the expansion's alternating
+#: sum; above it they are squared eigenvector columns.  Against exact
+#: rationals the sum's worst absolute error grows from ~1e-15 at S = 12 to
+#: ~4e-14 at S = 30, and the eigenvector is faster from about S = 14.  The
+#: sum stays at small S because it keeps exact zeros the eigenvector only
+#: approaches, such as the Hong-Ou-Mandel dip at (S=2, Delta=0, r=1/2).
+DIRECT_FLOAT_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -49,33 +54,6 @@ def _term_range(total, delta, delta_out):
     return lo, hi
 
 
-def _sum_terms(total, delta, delta_out, r):
-    """Summands at each admissible k; generic over Fraction and float r.
-
-    Terms are built incrementally (each from its predecessor), which keeps
-    exact-rational evaluation cheap.
-    """
-    f_plus = (total + delta) // 2
-    f_minus = (total - delta) // 2
-    f_plus_out = (total + delta_out) // 2
-    ratio = r / (r - 1)
-    lo, hi = _term_range(total, delta, delta_out)
-    if lo > hi:
-        return []
-    term = comb(f_minus, lo) * comb(f_plus, f_plus_out - lo) * ratio**lo
-    terms = [term]
-    for k in range(lo, hi):
-        term = (
-            term
-            * (f_minus - k)
-            * (f_plus_out - k)
-            * ratio
-            / ((k + 1) * (f_plus - f_plus_out + k + 1))
-        )
-        terms.append(term)
-    return terms
-
-
 def closed_form_terms(
     pair: FockPair, bs: BeamSplitter, delta_out: int, mode: NumericMode = FLOAT
 ) -> List[ClosedFormTerm]:
@@ -88,48 +66,99 @@ def closed_form_terms(
     total, delta = pair.total, pair.delta
     if abs(delta_out) > total or (total - delta_out) % 2 != 0:
         raise LatticeError(f"{delta_out} is off the lattice of S={total}")
-    r = _reflectivity(bs, mode)
+    r = bs.value(mode.is_exact)
     if r == 0 or r == 1:
         raise RangeError("closed-form terms are singular at r = 0 and r = 1")
-    lo, _hi = _term_range(total, delta, delta_out)
-    values = _sum_terms(total, delta, delta_out, r if mode.is_exact else float(r))
-    return [ClosedFormTerm(lo + i, v) for i, v in enumerate(values)]
-
-
-def _reflectivity(bs: BeamSplitter, mode: NumericMode):
-    if mode.is_exact:
-        return bs.value(exact=True)
-    return bs.reflectivity
+    r = r if mode.is_exact else float(r)
+    f_plus = (total + delta) // 2
+    f_minus = (total - delta) // 2
+    f_plus_out = (total + delta_out) // 2
+    ratio = r / (r - 1)
+    lo, hi = _term_range(total, delta, delta_out)
+    if lo > hi:
+        return []
+    # each summand from its predecessor
+    term = comb(f_minus, lo) * comb(f_plus, f_plus_out - lo) * ratio**lo
+    terms = [ClosedFormTerm(lo, term)]
+    for k in range(lo, hi):
+        term = (
+            term
+            * (f_minus - k)
+            * (f_plus_out - k)
+            * ratio
+            / ((k + 1) * (f_plus - f_plus_out + k + 1))
+        )
+        terms.append(ClosedFormTerm(k + 1, term))
+    return terms
 
 
 def _point_mass(total: int, at: int, exact: bool) -> DeltaDistribution:
     one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    probs = [zero] * (total + 1)
-    probs[(at + total) // 2] = one
-    return DeltaDistribution(total, tuple(probs))
+    return DeltaDistribution(total, tuple(one * (d == at) for d in range(-total, total + 1, 2)))
 
 
 def _closed_form(total, delta, delta_out, r):
-    """Single-sum closed form; generic over Fraction and float arithmetic."""
-    terms = _sum_terms(total, delta, delta_out, r)
-    if not terms:
-        return r * 0
-    total_sum = math.fsum(terms) if isinstance(r, float) else sum(terms)
+    """Single-sum closed form in exact rational arithmetic.
+
+    With r = a/b the summands C(f-, k) C(f+, f+out - k) (-a / (b-a))^k share
+    the denominator (b-a)^hi, so the sum runs over integers.
+    """
+    a, b = r.numerator, r.denominator
+    c = b - a
     f_plus_out = (total + delta_out) // 2
     f_minus_out = (total - delta_out) // 2
     f_plus = (total + delta) // 2
     f_minus = (total - delta) // 2
-    prefactor = (
-        Fraction(
-            factorial(f_plus_out) * factorial(f_minus_out),
-            factorial(f_plus) * factorial(f_minus),
-        )
-        * (1 - r) ** total
-        * (r / (1 - r)) ** ((delta - delta_out) // 2)
+    lo, hi = _term_range(total, delta, delta_out)
+    partial = sum(
+        comb(f_minus, k) * comb(f_plus, f_plus_out - k) * (-a) ** k * c ** (hi - k)
+        for k in range(lo, hi + 1)
     )
-    value = prefactor * total_sum * total_sum
-    return value if isinstance(value, Fraction) else float(value)
+    weight = Fraction(
+        factorial(f_plus_out) * factorial(f_minus_out) * c**total,
+        factorial(f_plus) * factorial(f_minus) * b**total,
+    )
+    return weight * Fraction(partial, c**hi) ** 2 * Fraction(a, c) ** ((delta - delta_out) // 2)
+
+
+def _count_probability(cap_k, cap_l, p, r):
+    """P(p, q = K+L-p) of the output-state expansion; generic over Fraction and float r.
+
+    The amplitude is sqrt(p! q! / (K! L!)) times the alternating sum over k
+    of C(K, k) C(L, p-k) sqrt(r)^(K+p-2k) sqrt(1-r)^(L-p+2k).  Past one
+    common sqrt(r) and sqrt(1-r) factor each summand is a monomial of degree
+    (S - leftovers)/2 in r and 1-r, so exact r = a/b sums integers in a and
+    b-a and divides by b^S once.
+    """
+    exact = isinstance(r, Fraction)
+    a, b = (r.numerator, r.denominator) if exact else (r, 1.0)
+    c = b - a
+    total = cap_k + cap_l
+    rho_r = (cap_k + p) % 2  # leftover sqrt(r) power
+    rho_t = (cap_l + p) % 2  # leftover sqrt(1-r) power
+    terms = []
+    for k in range(max(0, p - cap_l), min(cap_k, p) + 1):
+        term = (
+            comb(cap_k, k)
+            * comb(cap_l, p - k)
+            * a ** ((cap_k + p - 2 * k - rho_r) // 2)
+            * c ** ((cap_l - p + 2 * k - rho_t) // 2)
+        )
+        terms.append(-term if (cap_k - k) % 2 else term)
+    bracket = sum(terms) if exact else math.fsum(terms)
+    numerator = factorial(p) * factorial(total - p)
+    denominator = factorial(cap_k) * factorial(cap_l)
+    weight = Fraction(numerator, denominator * b**total) if exact else numerator / denominator
+    return bracket * bracket * a**rho_r * c**rho_t * weight
+
+
+def _float_counts(mode_a: int, mode_b: int, bs: BeamSplitter) -> list:
+    """Float P(p) for p = 0..K+L photons leaving by the first port, lossless."""
+    total = mode_a + mode_b
+    if total <= DIRECT_FLOAT_LIMIT:
+        r = float(bs.reflectivity)
+        return [_count_probability(mode_a, mode_b, p, r) for p in range(total + 1)]
+    return walk.rotation_probabilities(FockPair(total, mode_a - mode_b), bs).tolist()
 
 
 def prob_delta_out(
@@ -143,21 +172,16 @@ def prob_delta_out(
     total, delta = pair.total, pair.delta
     if abs(delta_out) > total or (total - delta_out) % 2 != 0:
         raise LatticeError(f"{delta_out} is off the lattice of S={total}")
-    r = _reflectivity(bs, mode)
+    r = bs.value(mode.is_exact)
+    p = (delta_out + total) // 2
     # endpoints short-circuit before any division by r or 1-r
-    if r == 0:
-        hit = delta_out == delta
-    elif r == 1:
-        hit = delta_out == -delta
-    else:
-        if mode.is_exact:
-            return _closed_form(total, delta, delta_out, r)
-        if total <= DIRECT_FLOAT_LIMIT:
-            return _closed_form(total, delta, delta_out, float(r))
-        probs = walk.rotation_probabilities(pair, bs)
-        return float(probs[(delta_out + total) // 2])
-    one = Fraction(1) if mode.is_exact else 1.0
-    return one * int(hit)
+    if r in (0, 1):
+        return _point_mass(total, delta if r == 0 else -delta, mode.is_exact).probs[p]
+    if mode.is_exact:
+        return _closed_form(total, delta, delta_out, r)
+    if total <= DIRECT_FLOAT_LIMIT:
+        return _count_probability(pair.mode_a, pair.mode_b, p, float(r))
+    return float(walk.rotation_probabilities(pair, bs)[p])
 
 
 def distribution(
@@ -165,18 +189,14 @@ def distribution(
 ) -> DeltaDistribution:
     """Closed-form distribution over the full Delta_out lattice."""
     total, delta = pair.total, pair.delta
-    r = _reflectivity(bs, mode)
-    if r == 0:
-        return _point_mass(total, delta, mode.is_exact)
-    if r == 1:
-        return _point_mass(total, -delta, mode.is_exact)
-    if not mode.is_exact and total > DIRECT_FLOAT_LIMIT:
-        probs = walk.rotation_probabilities(pair, bs)
-        return DeltaDistribution(total, tuple(float(p) for p in probs))
-    probs = tuple(
-        prob_delta_out(pair, bs, d, mode) for d in range(-total, total + 1, 2)
-    )
-    return DeltaDistribution(total, probs)
+    r = bs.value(mode.is_exact)
+    if r in (0, 1):
+        return _point_mass(total, delta if r == 0 else -delta, mode.is_exact)
+    if mode.is_exact:
+        probs = [_closed_form(total, delta, d, r) for d in pair.lattice()]
+    else:
+        probs = _float_counts(pair.mode_a, pair.mode_b, bs)
+    return DeltaDistribution(total, tuple(probs))
 
 
 def amplitude_expansion(
@@ -187,75 +207,15 @@ def amplitude_expansion(
     Expands (sqrt(1-r) c1 - sqrt(r) c2)^K (sqrt(r) c1 + sqrt(1-r) c2)^L
     over the two output-port creation operators, collects the amplitude on
     each (p, q) with p + q = K + L, and squares.  Agrees with
-    `distribution` through the Delta_out marginal.
+    `distribution` through the Delta_out marginal; above DIRECT_FLOAT_LIMIT
+    the float result is that marginal re-keyed.
     """
     if mode_a < 0 or mode_b < 0:
         raise LatticeError("mode occupations must be non-negative")
-    cap_k, cap_l = mode_a, mode_b
-    total = cap_k + cap_l
-    r = _reflectivity(bs, mode)
-    exact = mode.is_exact
-    entries = {}
-    if exact:
-        t = 1 - r
-        for p in range(total + 1):
-            q = total - p
-            rho_r = (cap_k + p) % 2  # leftover sqrt(r) power
-            rho_t = (cap_l + p) % 2  # leftover sqrt(1-r) power
-            bracket = Fraction(0)
-            for k in range(max(0, p - cap_l), min(cap_k, p) + 1):
-                e_r = cap_k + p - 2 * k
-                e_t = cap_l - p + 2 * k
-                sign = -1 if (cap_k - k) % 2 else 1
-                bracket += (
-                    sign
-                    * comb(cap_k, k)
-                    * comb(cap_l, p - k)
-                    * r ** ((e_r - rho_r) // 2)
-                    * t ** ((e_t - rho_t) // 2)
-                )
-            entries[(p, q)] = (
-                bracket
-                * bracket
-                * r**rho_r
-                * t**rho_t
-                * Fraction(
-                    factorial(p) * factorial(q), factorial(cap_k) * factorial(cap_l)
-                )
-            )
-    elif total > DIRECT_FLOAT_LIMIT:
-        # the alternating amplitude sums cancel catastrophically here; take
-        # the stable rotation-recurrence probabilities on the same support
-        probs = walk.rotation_probabilities(
-            FockPair(total, cap_k - cap_l), BeamSplitter(float(r))
-        )
-        for p in range(total + 1):
-            entries[(p, total - p)] = float(probs[p])
+    total = mode_a + mode_b
+    if mode.is_exact:
+        r = bs.value(exact=True)
+        probs = [_count_probability(mode_a, mode_b, p, r) for p in range(total + 1)]
     else:
-        r = float(r)
-        sqrt_r = math.sqrt(r)
-        sqrt_t = math.sqrt(1.0 - r)
-        for p in range(total + 1):
-            q = total - p
-            terms = []
-            for k in range(max(0, p - cap_l), min(cap_k, p) + 1):
-                sign = -1.0 if (cap_k - k) % 2 else 1.0
-                terms.append(
-                    sign
-                    * comb(cap_k, k)
-                    * comb(cap_l, p - k)
-                    * sqrt_r ** (cap_k + p - 2 * k)
-                    * sqrt_t ** (cap_l - p + 2 * k)
-                )
-            amp = math.fsum(terms)
-            entries[(p, q)] = (
-                amp
-                * amp
-                * float(
-                    Fraction(
-                        factorial(p) * factorial(q),
-                        factorial(cap_k) * factorial(cap_l),
-                    )
-                )
-            )
-    return JointCountDistribution(entries)
+        probs = _float_counts(mode_a, mode_b, bs)
+    return JointCountDistribution({(p, total - p): prob for p, prob in enumerate(probs)})

@@ -74,11 +74,6 @@ class FockPair:
         return delta_lattice(self.total)
 
 
-def new_fock_pair(total: int, delta: int) -> FockPair:
-    """Validated constructor; same contract as FockPair(total, delta)."""
-    return FockPair(total, delta)
-
-
 @dataclass(frozen=True)
 class BeamSplitter:
     """Two-mode beam splitter with single-photon reflectivity r.
@@ -124,8 +119,9 @@ class BeamSplitter:
 
     @property
     def theta(self) -> float:
-        """Mixing angle in radians, r = sin^2(theta)."""
-        return math.asin(math.sqrt(self.reflectivity))
+        """Mixing angle in radians, r = sin^2(theta); atan2 stays accurate as r -> 1."""
+        r = self.reflectivity
+        return math.atan2(math.sqrt(r), math.sqrt(1.0 - r))
 
     def value(self, exact: bool):
         """Reflectivity as Fraction (exact=True) or float."""

@@ -1,13 +1,17 @@
 """Line-graph walk machinery: hopping generator, unitary evolution, Wigner rotations.
 
-This is the brute-force ground truth the closed-form path is checked
-against.  The generator is the symmetric tridiagonal matrix of nearest
-neighbour hoppings on the Delta lattice; evolution goes through its
+The generator is the symmetric tridiagonal matrix of nearest neighbour
+hoppings on the Delta lattice.  Evolution through its full
 eigendecomposition (exact unitarity up to rounding, and the equally
-spaced spectrum doubles as a built-in test).  The same transition
-probabilities are reachable through Wigner small-d rotation matrices of
-spin S/2 with rotation angle alpha = 2*theta, r = sin^2(theta); that
+spaced spectrum doubles as a built-in test) is the brute-force ground
+truth the other routes are checked against.
+
+The same transition probabilities are the squared Wigner small-d column
+of spin S/2 at rotation angle beta = 2*theta, r = sin^2(theta); that
 calibration is fixed by the single-photon case and verified in the tests.
+Leap and walk share one Hamiltonian, so that column is one eigenvector of
+a tridiagonal matrix: the float kernel of every lossless distribution
+above the closed-form seam.
 """
 from __future__ import annotations
 
@@ -21,11 +25,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, LatticeError, RangeError
 from .states import BeamSplitter, DeltaDistribution, FockPair, delta_lattice
-
-#: below this |sin(beta)| the three-term recurrence divides by ~0; the
-#: explicit factorial sum has a single dominant term there and is used instead
-_RECURRENCE_SIN_FLOOR = 1e-6
-
 
 def hopping_amplitude(total: int, delta: int) -> float:
     """Hopping amplitude on the lattice edge between delta and delta-2.
@@ -74,7 +73,8 @@ def build_hamiltonian(total: int) -> TridiagonalHamiltonian:
     return TridiagonalHamiltonian(total, offs)
 
 
-@lru_cache(maxsize=None)
+# the oracles visit one S at a time; an entry at S = 4000 holds 128 MB
+@lru_cache(maxsize=4)
 def _eigensystem(total: int):
     # read-only after insertion; shared across threads
     if total == 0:
@@ -140,8 +140,8 @@ def _log_factorial(n: int) -> float:
 def _wigner_sum(two_s: int, two_m1: int, two_m2: int, beta: float) -> float:
     """Explicit factorial sum for d^s_{m1,m2}(beta), log-domain magnitudes.
 
-    Only used near beta = 0 mod pi where a single term dominates and the
-    recurrence would divide by sin(beta) ~ 0.
+    An independent referee for `wigner_d_column` while the sum's own
+    cancellation stays mild (small spins).
     """
     c = math.cos(beta / 2.0)
     s = math.sin(beta / 2.0)
@@ -202,121 +202,48 @@ def _edge_seed(two_s: int, two_n: int, c: float, s: float, top: bool):
     return sign, log_mag
 
 
-# block-exponent extended floats for the recurrence passes: values are
-# mantissa * 2**(500*block), so tails spanning thousands of orders of
-# magnitude never overflow, underflow or lose their relative scale
-_BLOCK = 2.0**500
-_BLOCK_INV = 2.0**-500
-_LOG_BLOCK = 500.0 * math.log(2.0)
-
-
-def _renormalize(mantissa: float, block: int):
-    mag = abs(mantissa)
-    if mag >= _BLOCK:
-        return mantissa * _BLOCK_INV, block + 1
-    if 0.0 < mag < _BLOCK_INV:
-        return mantissa * _BLOCK, block - 1
-    return mantissa, block
-
-
-def _from_log(sign: float, log_mag: float):
-    if log_mag == -math.inf:
-        return 0.0, 0
-    block = int(round(log_mag / _LOG_BLOCK))
-    return sign * math.exp(log_mag - block * _LOG_BLOCK), block
-
-
-def _log_abs(mantissa: float, block: int) -> float:
-    if mantissa == 0.0:
-        return -math.inf
-    return math.log(abs(mantissa)) + block * _LOG_BLOCK
+#: entries at least this large orient a column: their absolute error (about
+#: eps * S) cannot flip their sign, and the decaying tail from the larger
+#: edge reaches them (it reached 0.04 in each of 3000 sampled columns)
+_SIGN_FLOOR = 1e-6
 
 
 def wigner_d_column(two_s: int, two_m2: int, beta: float) -> np.ndarray:
     """All elements d^s_{m1, m2}(beta) for m1 = -s..s, ascending (doubled).
 
-    Three-term recurrence in m1 at fixed m2, seeded with the analytic edge
-    elements and run from both edges toward increasing magnitude; the two
-    branches are stitched at the magnitude peak and the column normalized
-    to unit 2-norm (columns of a rotation matrix are unit vectors).
+    The column is the eigenvector with eigenvalue m2 of cos(beta) J_z +
+    sin(beta) J_x, a tridiagonal matrix with spectrum -s..s (gap 1) and half
+    the walk's couplings, so it costs O(S) memory and its absolute error is
+    about eps * S (Feng et al., PRE 92, 043307, 2015).
+
+    The sign is the analytic one of the larger edge element, carried to the
+    first entry of magnitude _SIGN_FLOOR: in the decaying tail the recurrence
+    (m2 - m cos beta) d_m = sin beta (c_m d_{m+1} + c_{m-1} d_{m-1}) is led
+    by its left side, so each step inward multiplies the sign by
+    sign((m2 - m cos beta) / sin beta).
     """
     _check_spin_indices(two_s, two_m2)
     if two_s == 0:
         return np.ones(1)
-    sb = math.sin(beta)
-    if abs(sb) < _RECURRENCE_SIN_FLOOR:
-        return np.array(
-            [_wigner_sum(two_s, m1, two_m2, beta) for m1 in range(-two_s, two_s + 1, 2)]
-        )
-    cb = math.cos(beta)
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    size = two_s + 1
-
-    def c_up(two_m):  # coupling to m+1, i.e. sqrt((s-m)(s+m+1))
-        return 0.5 * math.sqrt((two_s - two_m) * (two_s + two_m + 2))
-
-    def c_dn(two_m):  # coupling to m-1
-        return 0.5 * math.sqrt((two_s + two_m) * (two_s - two_m + 2))
-
-    def step(a_coeff, v1, v0, b_coeff, divisor):
-        # ((a*v1 - b*v0) / divisor) on block-exponent pairs; a zero mantissa
-        # carries no scale information and must not set the common block
-        (m1, e1), (m0, e0) = v1, v0
-        if m1 == 0.0 and m0 == 0.0:
-            return 0.0, 0
-        if m1 == 0.0:
-            target = e0
-        elif m0 == 0.0:
-            target = e1
-        else:
-            target = max(e1, e0)
-        a1 = m1 * _BLOCK_INV ** (target - e1) if e1 < target else m1
-        a0 = m0 * _BLOCK_INV ** (target - e0) if e0 < target else m0
-        return _renormalize((a_coeff * a1 - b_coeff * a0) / divisor, target)
-
-    # (two_m2 - two_m*cb) d_m = sb * (c_up d_{m+1} + c_dn d_{m-1}), doubled units
-    up = [(0.0, 0)] * size
-    up[0] = _from_log(*_edge_seed(two_s, two_m2, c, s, top=False))
-    if up[0][0] == 0.0:  # exact zero seed happens only at snapped angles
-        up[0] = (1e-300, -2)
-    up[1] = step(two_m2 + two_s * cb, up[0], (0.0, 0), 0.0, sb * c_up(-two_s))
-    for i in range(1, size - 1):
-        two_m = -two_s + 2 * i
-        up[i + 1] = step(
-            two_m2 - two_m * cb, up[i], up[i - 1], sb * c_dn(two_m), sb * c_up(two_m)
-        )
-
-    down = [(0.0, 0)] * size
-    down[-1] = _from_log(*_edge_seed(two_s, two_m2, c, s, top=True))
-    if down[-1][0] == 0.0:
-        down[-1] = (1e-300, -2)
-    down[-2] = step(two_m2 - two_s * cb, down[-1], (0.0, 0), 0.0, sb * c_dn(two_s))
-    for i in range(size - 2, 0, -1):
-        two_m = -two_s + 2 * i
-        down[i - 1] = step(
-            two_m2 - two_m * cb, down[i], down[i + 1], sb * c_up(two_m), sb * c_dn(two_m)
-        )
-
-    # stitch where both branches are reliable: inside the oscillatory region
-    # |up * down| is proportional to the squared true solution, while in
-    # either decaying tail (where one branch is contaminated by the growing
-    # complementary solution) the product stays at the small Wronskian scale
-    strength = [
-        _log_abs(*up[i]) + _log_abs(*down[i]) for i in range(size)
-    ]
-    peak = max(range(size), key=lambda i: strength[i])
-    peak_block = up[peak][1]
-    column = np.empty(size)
-    for i in range(peak + 1):
-        m, e = up[i]
-        column[i] = m * _BLOCK ** (e - peak_block) if e != peak_block else m
-    ratio = (up[peak][0] / down[peak][0]) * _BLOCK ** (up[peak][1] - down[peak][1])
-    for i in range(peak + 1, size):
-        m, e = down[i]
-        scaled = m * _BLOCK ** (e - down[peak][1]) if e != down[peak][1] else m
-        column[i] = ratio * scaled
-    column /= math.sqrt(float(np.dot(column, column)))
+    two_m = np.arange(-two_s, two_s + 1, 2, dtype=float)
+    cb, sb = math.cos(beta), math.sin(beta)
+    # J_x couplings between m and m+1: sqrt((s-m)(s+m+1))/2
+    couplings = 0.25 * np.sqrt((two_s - two_m[:-1]) * (two_s + two_m[:-1] + 2))
+    index = (two_s + two_m2) // 2
+    _, vecs = eigh_tridiagonal(
+        0.5 * cb * two_m, sb * couplings, select="i", select_range=(index, index)
+    )
+    column = vecs[:, 0]
+    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
+    bottom = _edge_seed(two_s, two_m2, c, s, top=False)
+    top = _edge_seed(two_s, two_m2, c, s, top=True)
+    step = 1 if bottom[1] >= top[1] else -1
+    sign = (bottom if step == 1 else top)[0]
+    tail = column[::step]
+    first = int(np.argmax(np.abs(tail) >= _SIGN_FLOOR))
+    flips = np.count_nonzero((two_m2 - two_m[::step][:first] * cb < 0) != (sb < 0))
+    if (tail[first] < 0) != ((sign < 0) != bool(flips % 2)):
+        column = -column
     return column
 
 
@@ -336,9 +263,9 @@ def _wigner_column_cached(two_s: int, two_m2: int, beta: float):
 def rotation_probabilities(pair: FockPair, bs: BeamSplitter) -> np.ndarray:
     """|transition amplitude|^2 over the lattice via the Wigner route.
 
-    Identical statistics to evolved_distribution but computed through the
-    stable rotation-matrix recurrence; this is the large-S float path of
-    the closed-form module.
+    Identical statistics to evolved_distribution, from one cached
+    eigenvector column; this is the large-S float path of the closed-form
+    module.
     """
     alpha = 2.0 * bs.theta
     col = _wigner_column_cached(pair.total, pair.delta, alpha)

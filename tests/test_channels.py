@@ -203,6 +203,30 @@ class TestMixedSources:
             src = hl.MixedFockSource(nominal, eta)
             assert math.isclose(math.fsum(src.weights()), 1.0, abs_tol=1e-14)
 
+    @pytest.mark.parametrize(
+        "weights,p",
+        [
+            (lambda: hl.MixedFockSource(1100, 0.5).weights(), 0.5),
+            (lambda: hl.DistinguishabilityAngle(0.3).weights(1100), math.cos(0.3) ** 2),
+        ],
+        ids=["mixed_source", "distinguishability"],
+    )
+    def test_weights_above_float_comb_range(self, weights, p):
+        # C(1100, k) does not fit a float; the weights must not need it
+        mpmath = pytest.importorskip("mpmath")
+        got = weights()
+        with mpmath.workdps(40):
+            n, p = 1100, mpmath.mpf(p)
+            pmf = [
+                mpmath.exp(
+                    mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+                    + k * mpmath.log(p) + (n - k) * mpmath.log(1 - p)
+                )
+                for k in range(n + 1)
+            ]
+            assert max(abs(w - float(ref)) for w, ref in zip(got, pmf)) < 1e-15
+        assert abs(math.fsum(got) - 1.0) < 1e-15
+
     def test_eta_one_weights_concentrate_on_nominal(self):
         weights = hl.MixedFockSource(4, 1.0).weights()
         assert weights[-1] == 1.0 and sum(weights[:-1]) == 0

@@ -24,6 +24,13 @@ class TestDist:
         assert float(table[-2]) == 0.5 and float(table[2]) == 0.5
         assert float(table[0]) == 0.0
 
+    def test_extreme_reflectivity_exits_0(self, capsys):
+        code, out, _ = run_cli(capsys, "dist", "--s", "30", "--delta", "0", "--r", "1e-25")
+        assert code == 0
+        rows = csv.DictReader(out.splitlines())
+        table = {int(r["delta_out"]): float(r["probability"]) for r in rows}
+        assert table[0] == pytest.approx(1.0, abs=1e-15)
+
     def test_parity_failure_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "dist", "--s", "3", "--delta", "0", "--r", "0.5")
         assert code == 2

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import homleap as hl
 
@@ -179,3 +181,68 @@ class TestInvariants:
                     for delta_out in pair.lattice():
                         worst = max(worst, abs(float(exact.prob(delta_out)) - approx.prob(delta_out)))
         assert worst < 1e-11
+
+
+def exact_gap(pair, r):
+    """Largest |float - exact rational| over the lattice at the float r."""
+    exact = hl.distribution(pair, hl.BeamSplitter.exact(Fraction(r)), hl.RATIONAL)
+    approx = hl.distribution(pair, hl.BeamSplitter(r))
+    return max(abs(float(e) - a) for e, a in zip(exact.probs, approx.probs))
+
+
+class TestFloatKernel:
+    # (S, Delta, r): extreme reflectivities and columns concentrated at an edge
+    DEFECT_ROWS = [
+        (30, 0, 1e-22),
+        (30, -30, 1 - 1e-6),
+        (10, 4, 1e-104),
+        (80, -80, 0.01),
+        (200, -200, 0.1),
+        (200, 200, 0.9),
+        (500, 500, 0.5),
+        (1000, -1000, 0.05),
+    ]
+
+    @pytest.mark.parametrize("total,delta,r", DEFECT_ROWS)
+    def test_defect_rows(self, total, delta, r):
+        pair = hl.FockPair(total, delta)
+        if total <= 200:
+            assert exact_gap(pair, r) < 1e-13
+        else:
+            got = hl.distribution(pair, hl.BeamSplitter(r)).probs
+            evolved = hl.evolved_distribution(pair, hl.BeamSplitter(r)).probs
+            assert max(abs(a - b) for a, b in zip(got, evolved)) < 1e-13
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 120),
+        st.floats(0, 1),
+        st.sampled_from(["toward 0", "middle", "toward 1"]),
+        st.floats(0, 1),
+    )
+    @example(120, 0.5, "toward 0", 1.0)
+    @example(120, 0.25, "toward 1", 1.0)
+    def test_matches_exact_drawn(self, total, where, side, depth):
+        # r log-uniform down to 1e-100, 1 - r log-uniform down to 1e-15
+        r = {
+            "toward 0": 10.0 ** (-100 * depth),
+            "middle": depth,
+            "toward 1": 1.0 - 10.0 ** (-15 * depth),
+        }[side]
+        pair = hl.FockPair(total, -total + 2 * round(where * total))
+        assert exact_gap(pair, r) < 1e-13
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("r", [1e-300, 0.3, 1 - 2**-52])
+    def test_seam_sides_match_exact(self, side, r):
+        # the last S of the alternating sum and the first of the eigenvector
+        total = hl.closedform.DIRECT_FLOAT_LIMIT + side
+        for delta in range(-total, total + 1, 2):
+            assert exact_gap(hl.FockPair(total, delta), r) < 1e-13
+
+    def test_point_query_is_the_distribution_entry(self):
+        for total in (5, 40):
+            pair, bs = hl.FockPair(total, total - 4), hl.BeamSplitter(0.123)
+            dist = hl.distribution(pair, bs)
+            for delta_out in pair.lattice():
+                assert hl.prob_delta_out(pair, bs, delta_out) == dist.prob(delta_out)

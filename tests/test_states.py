@@ -13,7 +13,7 @@ class TestFockPair:
         assert pair.mode_a == 1 and pair.mode_b == 1
 
     def test_fig2b_pair(self):
-        pair = hl.new_fock_pair(50, -30)
+        pair = hl.FockPair(50, -30)
         assert pair.mode_a == 10 and pair.mode_b == 40
 
     def test_parity_mismatch(self):

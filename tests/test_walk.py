@@ -143,6 +143,40 @@ class TestWignerD:
                     col[i], _wigner_sum(two_s, two_m, two_n, beta), abs_tol=1e-11
                 )
 
+    @pytest.mark.parametrize("beta", [0.0, 1e-30, 1e-7, math.pi - 1e-7, math.pi, -0.7, 4.0])
+    def test_explicit_sum_at_edge_angles(self, beta):
+        # angles the recurrence once needed a small-angle branch for
+        for two_s in (1, 4, 9, 16):
+            for two_n in range(-two_s, two_s + 1, 2):
+                col = wigner_d_column(two_s, two_n, beta)
+                ref = [_wigner_sum(two_s, m, two_n, beta) for m in range(-two_s, two_s + 1, 2)]
+                assert np.abs(col - ref).max() < 1e-12
+
+    @pytest.mark.parametrize("two_s,beta", [(4000, math.pi / 2), (4000, 0.3), (1001, 2.9)])
+    def test_sign_symmetry_at_large_spin(self, two_s, beta):
+        # d_{m1,m2} = (-1)^(m1-m2) d_{m2,m1}; at (4000, pi/2) both edges of
+        # the m2 = s column underflow, so it is oriented from its tail
+        for two_m2 in (two_s, -two_s, two_s - 2, two_s % 2):
+            col = wigner_d_column(two_s, two_m2, beta)
+            for i in range(0, two_s + 1, 97):
+                two_m1 = -two_s + 2 * i
+                other = wigner_d_column(two_s, two_m1, beta)[(two_m2 + two_s) // 2]
+                sign = -1 if (two_m1 - two_m2) // 2 % 2 else 1
+                assert abs(col[i] - sign * other) < 1e-12
+
+    def test_top_column_is_a_positive_binomial_root(self):
+        # d_{m, s}(beta) = sqrt(C(2s, s+m)) cos(beta/2)^(s+m) sin(beta/2)^(s-m)
+        two_s, beta = 4000, math.pi / 2
+        col = wigner_d_column(two_s, two_s, beta)
+        k = np.arange(two_s + 1)
+        log_ref = 0.5 * (
+            math.lgamma(two_s + 1)
+            - np.array([math.lgamma(i + 1) + math.lgamma(two_s - i + 1) for i in k])
+        ) + two_s * math.log(math.cos(beta / 2))
+        ref = np.exp(log_ref)
+        assert np.all(col[ref > 1e-12] > 0)
+        assert np.abs(col - ref).max() < 1e-11
+
     @pytest.mark.parametrize(
         "total", [1, 2, 3, 4, 5, 6, 10, 15, 25, 40]
     )
