@@ -34,7 +34,8 @@ from . import walk
 #: largest S whose float distributions come from the expansion's alternating
 #: sum; above it they are squared eigenvector columns.  Against exact
 #: rationals the sum's worst absolute error grows from ~1e-15 at S = 12 to
-#: ~4e-14 at S = 30, and the eigenvector is faster from about S = 14.  The
+#: ~4e-14 at S = 30, and the eigenvector is faster from about S = 8-10
+#: (Intel Xeon, 2 vCPU: 25 vs 27 us at S = 8, 29 vs 38 us at S = 12).  The
 #: sum stays at small S because it keeps exact zeros the eigenvector only
 #: approaches, such as the Hong-Ou-Mandel dip at (S=2, Delta=0, r=1/2).
 DIRECT_FLOAT_LIMIT = 12
@@ -181,7 +182,8 @@ def prob_delta_out(
         return _closed_form(total, delta, delta_out, r)
     if total <= DIRECT_FLOAT_LIMIT:
         return _count_probability(pair.mode_a, pair.mode_b, p, float(r))
-    return float(walk.rotation_probabilities(pair, bs)[p])
+    amplitude = walk.wigner_d(total, delta_out, delta, 2.0 * bs.theta)
+    return amplitude * amplitude
 
 
 def distribution(

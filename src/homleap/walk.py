@@ -10,8 +10,9 @@ The same transition probabilities are the squared Wigner small-d column
 of spin S/2 at rotation angle beta = 2*theta, r = sin^2(theta); that
 calibration is fixed by the single-photon case and verified in the tests.
 Leap and walk share one Hamiltonian, so that column is one eigenvector of
-a tridiagonal matrix: the float kernel of every lossless distribution
-above the closed-form seam.
+a tridiagonal matrix, and inverse iteration at the known eigenvalue
+Delta/2 gives the float kernel of every lossless distribution above the
+closed-form seam.
 """
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 
 from .errors import DomainError, LatticeError, RangeError
 from .states import BeamSplitter, DeltaDistribution, FockPair, delta_lattice
@@ -213,8 +216,10 @@ def wigner_d_column(two_s: int, two_m2: int, beta: float) -> np.ndarray:
 
     The column is the eigenvector with eigenvalue m2 of cos(beta) J_z +
     sin(beta) J_x, a tridiagonal matrix with spectrum -s..s (gap 1) and half
-    the walk's couplings, so it costs O(S) memory and its absolute error is
-    about eps * S (Feng et al., PRE 92, 043307, 2015).
+    the walk's couplings (Feng et al., PRE 92, 043307, 2015).  It is one
+    LAPACK inverse iteration (`dstein`) at the known eigenvalue
+    m2 = Delta/2, with no eigenvalue search: O(S) time and memory,
+    absolute error about eps * S.
 
     The sign is the analytic one of the larger edge element, carried to the
     first entry of magnitude _SIGN_FLOOR: in the decaying tail the recurrence
@@ -223,16 +228,27 @@ def wigner_d_column(two_s: int, two_m2: int, beta: float) -> np.ndarray:
     sign((m2 - m cos beta) / sin beta).
     """
     _check_spin_indices(two_s, two_m2)
+    if not math.isfinite(beta):
+        raise DomainError(f"rotation angle {beta!r} is not finite")
     if two_s == 0:
         return np.ones(1)
     two_m = np.arange(-two_s, two_s + 1, 2, dtype=float)
     cb, sb = math.cos(beta), math.sin(beta)
     # J_x couplings between m and m+1: sqrt((s-m)(s+m+1))/2
     couplings = 0.25 * np.sqrt((two_s - two_m[:-1]) * (two_s + two_m[:-1] + 2))
-    index = (two_s + two_m2) // 2
-    _, vecs = eigh_tridiagonal(
-        0.5 * cb * two_m, sb * couplings, select="i", select_range=(index, index)
+    size = two_s + 1
+    # dstein takes the block splitting an eigenvalue search would report;
+    # one unreduced block iterates on the whole matrix, also where
+    # sin(beta) makes the couplings vanish
+    vecs, info = dstein(
+        0.5 * cb * two_m,
+        sb * couplings,
+        np.array([0.5 * two_m2]),
+        np.ones(size, dtype=np.intc),
+        np.full(size, size, dtype=np.intc),
     )
+    if info != 0:
+        raise LinAlgError(f"dstein returned info={info} at S={two_s}, beta={beta!r}")
     column = vecs[:, 0]
     c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
     bottom = _edge_seed(two_s, two_m2, c, s, top=False)
@@ -248,7 +264,14 @@ def wigner_d_column(two_s: int, two_m2: int, beta: float) -> np.ndarray:
 
 
 def wigner_d(two_s: int, two_m1: int, two_m2: int, beta: float) -> float:
-    """Wigner small-d element d^s_{m1,m2}(beta) with doubled integer indices."""
+    """Wigner small-d element d^s_{m1,m2}(beta) with doubled integer indices.
+
+    An entry of the cached `wigner_d_column`.  Its absolute error is about
+    eps * S; it has no relative accuracy and no reliable sign where
+    |d| is below about 1e-45, where the column holds inverse-iteration
+    noise instead of the true deep-tail value.  Squared into a
+    probability, that noise is far below the absolute error.
+    """
     _check_spin_indices(two_s, two_m1, two_m2)
     return float(_wigner_column_cached(two_s, two_m2, beta)[(two_m1 + two_s) // 2])
 

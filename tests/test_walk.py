@@ -1,11 +1,26 @@
 """Walk generator, unitary evolution and Wigner rotation checks."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import homleap as hl
+from homleap import walk
 from homleap.walk import _wigner_sum, wigner_d_column
+
+
+def _bisection_eigenvector(d, e, w, iblock, isplit):
+    """The `dstein` call of `wigner_d_column` answered by an eigenvalue search.
+
+    `eigh_tridiagonal(select="i")` bisects for the eigenvalue's index in
+    the ascending spectrum -s..s and then takes its eigenvector: a referee
+    for the kernel's iteration at the known eigenvalue.
+    """
+    index = int(round(w[0] + 0.5 * (len(d) - 1)))
+    _, vecs = eigh_tridiagonal(d, e, select="i", select_range=(index, index))
+    return vecs, 0
 
 
 class TestHopping:
@@ -120,6 +135,45 @@ class TestWignerD:
             hl.wigner_d(2, 1, 0, 0.3)  # parity mismatch
         with pytest.raises(hl.DomainError):
             hl.wigner_d(2, 4, 0, 0.3)  # out of range
+        for beta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(hl.DomainError):
+                hl.wigner_d(2, 0, 0, beta)
+            with pytest.raises(hl.DomainError):
+                wigner_d_column(40, 0, beta)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(walk, "dstein", lambda d, *rest: (np.zeros((len(d), 1)), 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            wigner_d_column(40, 0, 0.3)
+
+    @pytest.mark.parametrize("two_s", [13, 101, 1001, 4000])
+    @pytest.mark.parametrize(
+        "beta", [0.0, 1e-30, 1e-7, 0.3, math.pi / 2, 2.0, math.pi - 1e-7, math.pi, -0.7, 4.0]
+    )
+    def test_matches_eigenvalue_search(self, monkeypatch, two_s, beta):
+        edges = (-two_s, -two_s + 2, two_s % 2, two_s - 2, two_s)
+        cols = [wigner_d_column(two_s, two_m2, beta) for two_m2 in edges]
+        monkeypatch.setattr(walk, "dstein", _bisection_eigenvector)
+        for col, two_m2 in zip(cols, edges):
+            ref = wigner_d_column(two_s, two_m2, beta)
+            assert np.abs(col - ref).max() <= 1e-13
+            big = np.abs(ref) >= 1e-6
+            assert np.array_equal(np.sign(col[big]), np.sign(ref[big]))
+
+    def test_column_is_linear_in_spin(self):
+        # S = 1e5: O(S) memory, unit mass and the mean law <m> = m2 cos(beta) = 0
+        two_s = 100000
+        tracemalloc.start()
+        try:
+            col = wigner_d_column(two_s, 0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+        probs = col * col
+        assert abs(math.fsum(probs) - 1.0) <= 1e-12
+        half_m = 0.5 * np.arange(-two_s, two_s + 1, 2)
+        assert abs(math.fsum(half_m * probs)) <= 1e-6
 
     @pytest.mark.parametrize("two_s", [1, 2, 7, 16, 41, 80])
     def test_columns_are_orthonormal(self, two_s):
