@@ -136,21 +136,17 @@ class MixedFockSource:
 
 @dataclass(frozen=True)
 class Detector:
-    """Photon-counting detector with efficiency and count resolution.
+    """Photon-counting detector with a quantum efficiency.
 
-    Efficiency drives binomial thinning (apply_detector_loss); resolution
-    is the count bin width consumed by bin_resolution.  Efficiency 1 with
-    resolution 1 is the ideal detector and acts as the identity.
+    Efficiency drives binomial thinning (apply_detector_loss); efficiency 1
+    is the ideal detector and acts as the identity.
     """
 
     efficiency: float = 1.0
-    resolution: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.efficiency <= 1.0):
             raise RangeError(f"efficiency must lie in (0, 1], got {self.efficiency}")
-        if self.resolution < 1:
-            raise RangeError("resolution must be a positive integer")
 
 
 def decohere_distribution(

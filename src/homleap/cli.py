@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 check failure, 2 validation error.  Output is
 deterministic: floats are serialized with 17 significant digits, sweeps
-are gathered in grid order, and every artifact carries a manifest whose
-content hash excludes only the timestamp.  Exact-rational runs serialize
-probabilities as p/q strings.
+are evaluated in grid order on one thread, and every artifact carries a
+manifest whose content hash excludes only the timestamp.  Exact-rational
+runs serialize probabilities as p/q strings.
 """
 from __future__ import annotations
 
@@ -14,9 +14,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +32,7 @@ from .channels import (
     eta_for_purity,
     mixed_distribution,
 )
-from .errors import LeapError
+from .errors import DegenerateError, LeapError, RangeError
 from .metrics import (
     mean_delta,
     nonclassical_mask,
@@ -68,17 +66,14 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _workers() -> int:
-    env = os.environ.get("HOMLEAP_WORKERS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def _beam_splitter(r_text: str, mode) -> BeamSplitter:
+    try:
+        r = Fraction(r_text)
+    except ZeroDivisionError:
+        raise RangeError(f"reflectivity {r_text!r} has a zero denominator") from None
     if mode.is_exact:
-        return BeamSplitter.exact(Fraction(r_text))
-    return BeamSplitter(float(Fraction(r_text)))
+        return BeamSplitter.exact(r)
+    return BeamSplitter(float(r))
 
 
 def _numeric_mode(name: str):
@@ -177,58 +172,77 @@ def cmd_dist(args, config) -> int:
     return 0
 
 
+# ---------------------------------------------------------------- evaluators
+# The channels shared by the sweeps and the figures.
+
+
+def _decohered(total: int, n_b: int, y: float, bs, mode=FLOAT) -> DeltaDistribution:
+    """S photons, n_b of them in the second beam, at distinguishability angle y."""
+    pair = FockPair.from_modes(total - n_b, n_b)
+    return decohere_distribution(pair, DistinguishabilityAngle(y), bs, mode)
+
+
+def _mixed(nominal_a: int, nominal_b: int, eta_a: float, eta_b: float, bs, mode=FLOAT):
+    """Joint output counts of two lossy Fock sources."""
+    return mixed_distribution(
+        MixedFockSource(nominal_a, eta_a), MixedFockSource(nominal_b, eta_b), bs, mode
+    )
+
+
+def _detected(joint, efficiency: float) -> dict:
+    """Delta_out marginal of joint counts seen by detectors of this efficiency."""
+    return delta_marginal(apply_detector_loss(joint, Detector(efficiency=efficiency)))
+
+
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_point(param: str, value: str, args, config, mode):
-    """One grid point -> (marginal items, mean, variance)."""
+def _sweep_series(param: str, grid: list, args, config, mode):
+    """(grid value, distribution or Delta_out marginal) for each grid point, in grid order."""
+
+    def arg(key):
+        return _merged(args, config, key)
+
     if param == "r":
-        pair = FockPair(int(_merged(args, config, "s")), int(_merged(args, config, "delta")))
-        dist = distribution(pair, _beam_splitter(value, mode), mode)
-        return list(dist.items()), mean_delta(dist), variance_delta(dist)
-    if param == "y":
-        total = int(_merged(args, config, "s"))
-        n_b = int(_merged(args, config, "n"))
-        bs = _beam_splitter(str(_merged(args, config, "r")), mode)
-        pair = FockPair.from_modes(total - n_b, n_b)
-        dist = decohere_distribution(pair, DistinguishabilityAngle(float(value)), bs, mode)
-        return list(dist.items()), mean_delta(dist), variance_delta(dist)
-    if param == "eta":
-        nominal_a = int(_merged(args, config, "k"))
-        nominal_b = int(_merged(args, config, "l"))
-        bs = _beam_splitter(str(_merged(args, config, "r")), mode)
-        eta = float(value)
-        joint = mixed_distribution(
-            MixedFockSource(nominal_a, eta), MixedFockSource(nominal_b, eta), bs, mode
-        )
-        marginal = delta_marginal(joint)
-        return sorted(marginal.items()), mean_delta(marginal), variance_delta(marginal)
-    if param == "eta_det":
-        total = int(_merged(args, config, "s"))
-        delta = int(_merged(args, config, "delta"))
-        bs = _beam_splitter(str(_merged(args, config, "r")), mode)
+        pair = FockPair(int(arg("s")), int(arg("delta")))
+        for value in grid:
+            yield value, distribution(pair, _beam_splitter(value, mode), mode)
+    elif param == "y":
+        total = int(arg("s"))
+        n_b = int(arg("n"))
+        bs = _beam_splitter(str(arg("r")), mode)
+        for value in grid:
+            yield value, _decohered(total, n_b, float(value), bs, mode)
+    elif param == "eta":
+        nominal_a = int(arg("k"))
+        nominal_b = int(arg("l"))
+        bs = _beam_splitter(str(arg("r")), mode)
+        for value in grid:
+            eta = float(value)
+            yield value, _detected(_mixed(nominal_a, nominal_b, eta, eta, bs, mode), 1.0)
+    elif param == "eta_det":
+        total = int(arg("s"))
+        delta = int(arg("delta"))
+        bs = _beam_splitter(str(arg("r")), mode)
         pair = FockPair(total, delta)
         joint = amplitude_expansion(pair.mode_a, pair.mode_b, bs, mode)
-        thinned = apply_detector_loss(joint, Detector(efficiency=float(value)))
-        marginal = delta_marginal(thinned)
-        return sorted(marginal.items()), mean_delta(marginal), variance_delta(marginal)
-    raise LeapError(f"unknown sweep parameter {param!r}")
+        for value in grid:
+            yield value, _detected(joint, float(value))
+    else:
+        raise LeapError(f"unknown sweep parameter {param!r}")
 
 
 def cmd_sweep(args, config) -> int:
     mode = _numeric_mode(_merged(args, config, "mode", "float"))
     param = args.param
     grid = [g.strip() for g in str(_merged(args, config, "grid")).split(",") if g.strip()]
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        blocks = list(
-            pool.map(lambda v: _sweep_point(param, v, args, config, mode), grid)
-        )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([param, "delta_out", "probability", "mean", "variance"])
-    for value, (items, mean, var) in zip(grid, blocks):
-        for delta_out, prob in items:
-            writer.writerow([value, delta_out, _fmt(prob), _fmt(mean), _fmt(var)])
+    for value, dist in _sweep_series(param, grid, args, config, mode):
+        mean, var = _fmt(mean_delta(dist)), _fmt(variance_delta(dist))
+        for delta_out, prob in dist.items():
+            writer.writerow([value, delta_out, _fmt(prob), mean, var])
     _write_text(args.out, buf.getvalue())
     return 0
 
@@ -421,94 +435,74 @@ print("wrote {fig_id}.png")
 _FIG2_RS = ("0.1", "0.2", "0.5", "0.9")
 
 
-def _validated_rows(dist, series: dict, lossless: bool):
-    """Normalization (and parity, when lossless) checks before export."""
+def _validated_rows(dist, series: dict):
+    """Normalization (and parity, for a lossless DeltaDistribution) checks before export."""
     if isinstance(dist, DeltaDistribution):
         items = list(dist.items())
-        total = dist.total
+        if float(parity_violation(dist)) != 0.0:
+            raise LeapError(f"series {series} fails the parity comb")
     else:
         items = sorted(dist.items())
-        total = None
     mass = math.fsum(float(p) for _, p in items)
     if abs(mass - 1.0) > 1e-9:
         raise LeapError(f"series {series} fails normalization: {mass!r}")
-    if lossless and total is not None and float(parity_violation(dist)) != 0.0:
-        raise LeapError(f"series {series} fails the parity comb")
     return items
 
 
-def _figure_pure_family(total: int, delta: int, rs=_FIG2_RS):
+def _series_rows(series, columns: list) -> list:
+    """CSV rows of (series labels, distribution) pairs, validated and serialized."""
     rows = []
-    for r_text in rs:
-        dist = distribution(FockPair(total, delta), BeamSplitter(float(Fraction(r_text))))
-        for delta_out, prob in _validated_rows(dist, {"r": r_text}, lossless=True):
-            rows.append({"r": r_text, "delta_out": delta_out, "probability": prob})
-    return rows, ["r"]
+    for labels, dist in series:
+        named = dict(zip(columns, labels))
+        for delta_out, prob in _validated_rows(dist, named):
+            rows.append({**named, "delta_out": delta_out, "probability": _fmt(prob)})
+    return rows
 
 
-def _figure_decoherence():
-    rows = []
-    pair = FockPair.from_modes(25, 25)
+def _pure_family(total: int, delta: int):
+    pair = FockPair(total, delta)
+    for r_text in _FIG2_RS:
+        yield (r_text,), distribution(pair, _beam_splitter(r_text, FLOAT))
+
+
+def _decoherence_family():
     bs = BeamSplitter(0.5)
     for label, y in (("pi/24", math.pi / 24), ("pi/6", math.pi / 6),
                      ("pi/3", math.pi / 3), ("pi/2", math.pi / 2)):
-        dist = decohere_distribution(pair, DistinguishabilityAngle(y), bs)
-        for delta_out, prob in _validated_rows(dist, {"y": label}, lossless=True):
-            rows.append({"y": label, "delta_out": delta_out, "probability": prob})
-    return rows, ["y"]
+        yield (label,), _decohered(50, 25, y, bs)
 
 
-def _figure_mixed_family(total: int, delta: int, target_purity: float, rs=_FIG2_RS):
+def _mixed_panels(total: int, deltas: tuple, target_purity: float):
     """Each non-vacuum source degraded to the stated purity."""
-    nominal_a = (total + delta) // 2
-    nominal_b = (total - delta) // 2
-    rows = []
-    for r_text in rs:
-        bs = BeamSplitter(float(Fraction(r_text)))
-        sources = []
-        for nominal in (nominal_a, nominal_b):
-            eta = 1.0 if nominal == 0 else eta_for_purity(nominal, target_purity)
-            sources.append(MixedFockSource(nominal, eta))
-        joint = mixed_distribution(sources[0], sources[1], bs)
-        marginal = delta_marginal(joint)
-        for delta_out, prob in _validated_rows(marginal, {"r": r_text}, lossless=False):
-            rows.append({"r": r_text, "delta_out": delta_out, "probability": prob})
-    return rows, ["r"]
+    for delta in deltas:
+        nominal_a = (total + delta) // 2
+        nominal_b = (total - delta) // 2
+        eta_a, eta_b = (
+            1.0 if nominal == 0 else eta_for_purity(nominal, target_purity)
+            for nominal in (nominal_a, nominal_b)
+        )
+        for r_text in _FIG2_RS:
+            joint = _mixed(nominal_a, nominal_b, eta_a, eta_b, _beam_splitter(r_text, FLOAT))
+            yield (delta, r_text), _detected(joint, 1.0)
 
 
-def _figure_loss_array():
+def _loss_array():
     """S=10 panels: joint input purity columns x detector-loss rows."""
-    rows = []
     for delta in (0, -4, -10):
         nominal_a = (10 + delta) // 2
         nominal_b = (10 - delta) // 2
         for target in (0.21, 0.41, 0.83, 1.0):
             eta = eta_for_joint_purity(nominal_a, nominal_b, target)
-            src_a = MixedFockSource(nominal_a, eta)
-            src_b = MixedFockSource(nominal_b, eta)
+            joints = [
+                (r_text, _mixed(nominal_a, nominal_b, eta, eta, _beam_splitter(r_text, FLOAT)))
+                for r_text in ("0.1", "0.2", "0.5")
+            ]
             for loss in (0.0, 0.1, 0.2):
-                for r_text in ("0.1", "0.2", "0.5"):
-                    bs = BeamSplitter(float(Fraction(r_text)))
-                    joint = mixed_distribution(src_a, src_b, bs)
-                    if loss:
-                        joint = apply_detector_loss(joint, Detector(efficiency=1.0 - loss))
-                    marginal = delta_marginal(joint)
-                    series = {"delta": delta, "purity": target, "loss": loss, "r": r_text}
-                    for delta_out, prob in _validated_rows(marginal, series, lossless=False):
-                        rows.append(
-                            {
-                                "delta": delta,
-                                "purity": target,
-                                "loss": loss,
-                                "r": r_text,
-                                "delta_out": delta_out,
-                                "probability": prob,
-                            }
-                        )
-    return rows, ["delta", "purity", "loss", "r"]
+                for r_text, joint in joints:
+                    yield (delta, target, loss, r_text), _detected(joint, 1.0 - loss)
 
 
-def _figure_visibility_regions():
+def _visibility_regions():
     panels = [
         ("a", "0.36", 10),
         ("b", "0.43", 50),
@@ -520,66 +514,57 @@ def _figure_visibility_regions():
     rows = []
     for panel, r_text, n_max in panels:
         r = float(Fraction(r_text))
-        mask = nonclassical_mask(n_max, n_max, r)
-        for (n, m), flag in sorted(mask.items()):
-            try:
-                value = visibility_fock(n, m, r).value
-                value_text = _fmt(value)
-            except LeapError:
-                value_text = ""
-            rows.append(
-                {
-                    "panel": panel,
-                    "r": r_text,
-                    "n_max": n_max,
-                    "n": n,
-                    "m": m,
-                    "visibility": value_text,
-                    "nonclassical": int(flag),
-                }
-            )
-    return rows, ["panel"]
+        for n in range(n_max + 1):
+            for m in range(n_max + 1):
+                try:
+                    report = visibility_fock(n, m, r)
+                    value_text, flag = _fmt(report.value), report.nonclassical
+                except DegenerateError:
+                    value_text, flag = "", False
+                rows.append(
+                    {
+                        "panel": panel,
+                        "r": r_text,
+                        "n_max": n_max,
+                        "n": n,
+                        "m": m,
+                        "visibility": value_text,
+                        "nonclassical": int(flag),
+                    }
+                )
+    return rows
 
 
+#: figure id -> (builder, series columns); figS4's builder returns its mask
+#: rows, every other builder yields (series labels, distribution) pairs
 _FIGURES = {
-    "fig2a": lambda: _figure_pure_family(50, 0),
-    "fig2b": lambda: _figure_pure_family(50, -30),
-    "fig2c": lambda: _figure_pure_family(50, -50),
-    "fig3": _figure_decoherence,
-    "figS1a": lambda: _figure_pure_family(10, 0),
-    "figS1b": lambda: _figure_pure_family(10, -4),
-    "figS1c": lambda: _figure_pure_family(10, -10),
-    "figS2": lambda: _figure_mixed_panels(10, 0.83),
-    "figS3": lambda: _figure_mixed_panels(50, 0.47),
-    "figS4": _figure_visibility_regions,
-    "figLossArray": _figure_loss_array,
+    "fig2a": (lambda: _pure_family(50, 0), ["r"]),
+    "fig2b": (lambda: _pure_family(50, -30), ["r"]),
+    "fig2c": (lambda: _pure_family(50, -50), ["r"]),
+    "fig3": (_decoherence_family, ["y"]),
+    "figS1a": (lambda: _pure_family(10, 0), ["r"]),
+    "figS1b": (lambda: _pure_family(10, -4), ["r"]),
+    "figS1c": (lambda: _pure_family(10, -10), ["r"]),
+    "figS2": (lambda: _mixed_panels(10, (0, -4, -10), 0.83), ["delta", "r"]),
+    "figS3": (lambda: _mixed_panels(50, (0, -30, -50), 0.47), ["delta", "r"]),
+    "figS4": (_visibility_regions, ["panel"]),
+    "figLossArray": (_loss_array, ["delta", "purity", "loss", "r"]),
 }
-
-
-def _figure_mixed_panels(total: int, target_purity: float):
-    deltas = (0, -4, -10) if total == 10 else (0, -30, -50)
-    rows = []
-    for delta in deltas:
-        panel_rows, _ = _figure_mixed_family(total, delta, target_purity)
-        for row in panel_rows:
-            rows.append({"delta": delta, **row})
-    return rows, ["delta", "r"]
 
 
 def cmd_figure(args, config) -> int:
     fig_id = args.id
     outdir = Path(_merged(args, config, "outdir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    rows, series_cols = _FIGURES[fig_id]()
-    fieldnames = list(rows[0].keys())
+    builder, series_cols = _FIGURES[fig_id]
+    if fig_id == "figS4":
+        rows, template = builder(), _PLOT_MASK
+    else:
+        rows, template = _series_rows(builder(), series_cols), _PLOT_LINES
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        out = dict(row)
-        if "probability" in out:
-            out["probability"] = _fmt(out["probability"])
-        writer.writerow(out)
+    writer.writerows(rows)
     csv_text = buf.getvalue()
     csv_name = f"{fig_id}.csv"
     (outdir / csv_name).write_text(csv_text)
@@ -587,7 +572,6 @@ def cmd_figure(args, config) -> int:
     (outdir / f"{fig_id}.manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    template = _PLOT_MASK if fig_id == "figS4" else _PLOT_LINES
     script = template.format(fig_id=fig_id, csv_name=csv_name, series_cols=series_cols)
     (outdir / f"{fig_id}_plot.py").write_text(script)
     print(f"wrote {outdir / csv_name}, manifest and plot script")

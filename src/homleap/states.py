@@ -140,13 +140,10 @@ class NumericMode:
     """Numeric regime: exact rational arithmetic or floating point."""
 
     kind: str
-    tolerance: float = NORMALIZATION_TOL
 
     def __post_init__(self):
         if self.kind not in ("rational", "float"):
             raise ModeError(f"unknown numeric mode {self.kind!r}")
-        if self.tolerance <= 0:
-            raise RangeError("tolerance must be positive")
 
     @property
     def is_exact(self) -> bool:

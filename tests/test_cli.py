@@ -1,12 +1,14 @@
 """Command-line interface: schemas, exit codes, determinism."""
 import csv
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from homleap.cli import main
+import homleap as hl
+from homleap.cli import _fmt, main
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +41,25 @@ class TestDist:
     def test_bad_reflectivity_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "dist", "--s", "2", "--delta", "0", "--r", "1.5")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (("dist", "--s", "2", "--delta", "0", "--r", "1/0"), None),
+            (("dist", "--s", "2", "--delta", "0"), "r=1/0\n"),
+            (("sweep", "--param", "r", "--grid", "0.5,1/0", "--s", "2", "--delta", "0"), None),
+        ],
+        ids=["flag", "config", "sweep_grid"],
+    )
+    def test_zero_denominator_reflectivity_exits_2(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = (*argv, "--config", str(path))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'1/0'" in err
 
     def test_rational_mode_emits_fractions(self, capsys):
         code, out, _ = run_cli(
@@ -126,6 +147,56 @@ class TestSweep:
             blocks[row["eta"]] += float(row["probability"])
         for total in blocks.values():
             assert math.isclose(total, 1.0, abs_tol=1e-12)
+
+
+    def test_blocks_follow_the_grid_with_repeats(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--param", "r", "--grid", "0.9,0.1,0.9", "--s", "5", "--delta", "3",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        blocks = [list(block) for _, block in itertools.groupby(rows, key=lambda row: row["r"])]
+        assert [block[0]["r"] for block in blocks] == ["0.9", "0.1", "0.9"]
+        assert all(len(block) == 6 for block in blocks)
+        assert blocks[0] == blocks[2]
+
+    def test_fig2b_rows_are_the_r_sweep_rows(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--param", "r", "--grid", "0.1,0.2,0.5,0.9",
+            "--s", "50", "--delta", "-30",
+        )
+        assert code == 0
+        code, _, _ = run_cli(capsys, "figure", "--id", "fig2b", "--outdir", str(tmp_path))
+        assert code == 0
+        figure = (tmp_path / "fig2b.csv").read_text()
+        columns = ("r", "delta_out", "probability")
+        assert [tuple(row[c] for c in columns) for row in csv.DictReader(figure.splitlines())] == [
+            tuple(row[c] for c in columns) for row in csv.DictReader(out.splitlines())
+        ]
+
+    @pytest.mark.parametrize("mode,r", [("float", "0.3"), ("rational", "1/5")])
+    def test_eta_det_blocks_are_thinned_expansions(self, capsys, mode, r):
+        grid = ("1.0", "0.9", "0.5")
+        code, out, _ = run_cli(
+            capsys, "sweep", "--param", "eta_det", "--grid", ",".join(grid),
+            "--s", "6", "--delta", "2", "--r", r, "--mode", mode,
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        if mode == "rational":
+            joint = hl.amplitude_expansion(4, 2, hl.BeamSplitter.exact(Fraction(r)), hl.RATIONAL)
+        else:
+            joint = hl.amplitude_expansion(4, 2, hl.BeamSplitter(float(Fraction(r))))
+        for eta in grid:
+            thinned = hl.apply_detector_loss(joint, hl.Detector(efficiency=float(eta)))
+            marginal = hl.delta_marginal(thinned)
+            mean, var = _fmt(hl.mean_delta(marginal)), _fmt(hl.variance_delta(marginal))
+            expected = [(str(d), _fmt(p), mean, var) for d, p in marginal.items()]
+            block = [
+                (row["delta_out"], row["probability"], row["mean"], row["variance"])
+                for row in rows if row["eta_det"] == eta
+            ]
+            assert block == expected
 
 
 class TestMissingParameters:
