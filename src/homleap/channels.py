@@ -1,12 +1,14 @@
 """Physical imperfection models: distinguishability, mixed inputs, lossy detectors.
 
-Distinguishability rotates one input beam into a superposition over an
-orthogonal polarization.  The beam splitter does not mix polarizations and
-counting detectors trace over them, so the output is exactly an incoherent
-binomial mixture over the polarization split: interference of the surviving
-parallel photons convolved with the plain binomial splitting of the
-orthogonal remainder.  The equivalence with a coherent four-mode evolution
-is still verified at small S in the test suite.
+Distinguishability rotates the first input beam into a superposition over
+an orthogonal polarization.  The beam splitter does not mix polarizations
+and counting detectors trace over them, so the output is exactly an
+incoherent binomial mixture over the polarization split: interference of
+the surviving parallel photons convolved with the plain binomial splitting
+of the orthogonal remainder.  Only the relative polarization of the two
+beams enters, so decomposing the second beam instead gives the same
+statistics.  The equivalence with a coherent four-mode evolution is still
+verified at small S in the test suite.
 
 Loss is binomial thinning B_eta[k, j] = C(j, k) eta^k (1-eta)^(j-k), with
 B_eta1 B_eta2 = B_(eta1 eta2); uniform loss commutes with a passive beam
@@ -26,7 +28,8 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from .closedform import amplitude_expansion
+# amplitude_expansion is re-exported for code that looks it up on this module
+from .closedform import _counts, amplitude_expansion  # noqa: F401
 from .errors import ModeError, NoSolution, RangeError
 from .states import (
     FLOAT,
@@ -66,12 +69,6 @@ def _thinning(size: int, eta, dtype=float) -> np.ndarray:
         table[:, j] = (1 - eta) * table[:, j - 1]
         table[1:, j] += eta * table[:-1, j - 1]
     return table
-
-
-def _add(grid: np.ndarray, joint: JointCountDistribution, weight=1):
-    """Add weight times the joint count map into the dense (p, q) array."""
-    ports = tuple(zip(*joint.entries))
-    grid[ports] += weight * np.array(list(joint.entries.values()), dtype=grid.dtype)
 
 
 def _joint(grid: np.ndarray, keep: np.ndarray) -> JointCountDistribution:
@@ -154,34 +151,27 @@ def decohere_distribution(
     angle: DistinguishabilityAngle,
     bs: BeamSplitter,
     mode: NumericMode = FLOAT,
-    rotated_beam: str = "a",
 ) -> DeltaDistribution:
     """Output statistics with partially distinguishable inputs.
 
-    `rotated_beam` selects which input is decomposed over the orthogonal
-    polarization ("a" holds S-N photons, "b" holds N); the Delta = 0 case
-    is insensitive to the choice.
+    The first beam (K photons) is decomposed over the orthogonal
+    polarization.  Rotating both beams by one polarization rotation changes
+    nothing the detectors see, so rotating the second beam by -y instead
+    would give the same statistics: the weights depend on y only through
+    cos^2 y.
     """
-    if isinstance(angle, (int, float)):
-        angle = DistinguishabilityAngle(float(angle))
-    if rotated_beam not in ("a", "b"):
-        raise RangeError("rotated_beam must be 'a' or 'b'")
-    total = pair.total
     exact = mode.is_exact
-    order = 1 if rotated_beam == "a" else -1  # input modes as (rotated, fixed)
-    rotated, fixed = (pair.mode_a, pair.mode_b)[::order]
+    rotated, fixed = pair.mode_a, pair.mode_b
     r = bs.value(exact)
-    out = np.zeros(total + 1, dtype=object if exact else float)
+    out = np.zeros(pair.total + 1, dtype=object if exact else float)
     for n, w in enumerate(angle.weights(rotated, exact)):
         if w == 0:
             continue
-        joint = amplitude_expansion(*(n, fixed)[::order], bs, mode)
-        parallel = [joint.probability(p, n + fixed - p) for p in range(n + fixed + 1)]
-        # the orthogonal photons split binomially over the ports: an a-photon
-        # exits the first port with probability 1-r (fixed by the single-photon
-        # expansion), a b-photon with r; the 1-r split is the r split reversed
-        out += w * np.convolve(parallel, _binomial(rotated - n, r)[::-order])
-    return DeltaDistribution(total, tuple(out.tolist()))
+        # the orthogonal photons split binomially over the ports: each exits
+        # the first port with probability 1-r (fixed by the single-photon
+        # expansion), and the 1-r split is the r split reversed
+        out += w * np.convolve(_counts(n, fixed, bs, mode), _binomial(rotated - n, r)[::-1])
+    return DeltaDistribution(pair.total, tuple(out.tolist()))
 
 
 def classical_reference(pair: FockPair, bs: BeamSplitter) -> DeltaDistribution:
@@ -221,7 +211,9 @@ def mixed_distribution(
         for k, w_k in enumerate(residual_a):
             for l, w_l in enumerate(residual_b):
                 if w_k != 0 and w_l != 0:
-                    _add(grid, amplitude_expansion(k, l, bs, mode), w_k * w_l)
+                    ports = np.arange(k + l + 1)
+                    counts = np.array(_counts(k, l, bs, mode), dtype=grid.dtype)
+                    grid[ports, k + l - ports] += w_k * w_l * counts
         if common != 1:
             thin = _thinning(size, common)
             grid = thin @ grid @ thin.T
@@ -244,7 +236,7 @@ def apply_detector_loss(
     exact = all(isinstance(v, (int, Fraction)) for v in (eff, *joint.entries.values()))
     size = max(max(key) for key in joint.entries)
     grid = np.zeros((size + 1, size + 1), dtype=object if exact else float)
-    _add(grid, joint)
+    grid[tuple(zip(*joint.entries))] = list(joint.entries.values())
     thin = _thinning(size, eff if exact else float(eff), grid.dtype)
     below = np.logical_or.accumulate(np.logical_or.accumulate(grid[::-1, ::-1] != 0), axis=1)
     return _joint(thin @ grid @ thin.T, below[::-1, ::-1])

@@ -66,14 +66,18 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _beam_splitter(r_text: str, mode) -> BeamSplitter:
+def _number(text: str, mode, what: str):
+    """A float or p/q argument: a Fraction in rational mode, a float otherwise."""
     try:
-        r = Fraction(r_text)
+        value = Fraction(text)
     except ZeroDivisionError:
-        raise RangeError(f"reflectivity {r_text!r} has a zero denominator") from None
-    if mode.is_exact:
-        return BeamSplitter.exact(r)
-    return BeamSplitter(float(r))
+        raise RangeError(f"{what} {text!r} has a zero denominator") from None
+    return value if mode.is_exact else float(value)
+
+
+def _beam_splitter(r_text: str, mode) -> BeamSplitter:
+    r = _number(r_text, mode, "reflectivity")
+    return BeamSplitter.exact(r) if mode.is_exact else BeamSplitter(r)
 
 
 def _numeric_mode(name: str):
@@ -218,7 +222,7 @@ def _sweep_series(param: str, grid: list, args, config, mode):
         nominal_b = int(arg("l"))
         bs = _beam_splitter(str(arg("r")), mode)
         for value in grid:
-            eta = float(value)
+            eta = _number(value, mode, "eta")
             yield value, _detected(_mixed(nominal_a, nominal_b, eta, eta, bs, mode), 1.0)
     elif param == "eta_det":
         total = int(arg("s"))
@@ -227,7 +231,7 @@ def _sweep_series(param: str, grid: list, args, config, mode):
         pair = FockPair(total, delta)
         joint = amplitude_expansion(pair.mode_a, pair.mode_b, bs, mode)
         for value in grid:
-            yield value, _detected(joint, float(value))
+            yield value, _detected(joint, _number(value, mode, "eta_det"))
     else:
         raise LeapError(f"unknown sweep parameter {param!r}")
 
@@ -436,13 +440,8 @@ _FIG2_RS = ("0.1", "0.2", "0.5", "0.9")
 
 
 def _validated_rows(dist, series: dict):
-    """Normalization (and parity, for a lossless DeltaDistribution) checks before export."""
-    if isinstance(dist, DeltaDistribution):
-        items = list(dist.items())
-        if float(parity_violation(dist)) != 0.0:
-            raise LeapError(f"series {series} fails the parity comb")
-    else:
-        items = sorted(dist.items())
+    """Normalization check before export."""
+    items = list(dist.items()) if isinstance(dist, DeltaDistribution) else sorted(dist.items())
     mass = math.fsum(float(p) for _, p in items)
     if abs(mass - 1.0) > 1e-9:
         raise LeapError(f"series {series} fails normalization: {mass!r}")

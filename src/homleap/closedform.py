@@ -7,10 +7,12 @@ outcome directly.  The port/sign convention is pinned by the single-photon
 case: a photon entering the first mode leaves through the first port with
 probability 1-r, so r = 0 is the identity and r = 1 maps Delta to -Delta.
 
-Float results use one algorithm on each side of one size seam: at and
-below DIRECT_FLOAT_LIMIT the expansion's alternating sum per outcome
-(`_count_probability`, which exact mode evaluates in Fractions), above it
-the squared eigenvector column of `walk`.
+`_counts` returns the lossless count vector P(p), p = 0..K+L, shared by
+`amplitude_expansion`, float `distribution` and the channels.  Exact mode
+evaluates the expansion's alternating sum per outcome (`_count_probability`)
+in Fractions.  Float mode uses one algorithm on each side of one size seam:
+that sum at and below DIRECT_FLOAT_LIMIT, the squared eigenvector column of
+`walk` above it.
 """
 from __future__ import annotations
 
@@ -153,11 +155,11 @@ def _count_probability(cap_k, cap_l, p, r):
     return bracket * bracket * a**rho_r * c**rho_t * weight
 
 
-def _float_counts(mode_a: int, mode_b: int, bs: BeamSplitter) -> list:
-    """Float P(p) for p = 0..K+L photons leaving by the first port, lossless."""
+def _counts(mode_a: int, mode_b: int, bs: BeamSplitter, mode: NumericMode = FLOAT) -> list:
+    """Lossless P(p) for p = 0..K+L photons leaving by the first port."""
     total = mode_a + mode_b
-    if total <= DIRECT_FLOAT_LIMIT:
-        r = float(bs.reflectivity)
+    if mode.is_exact or total <= DIRECT_FLOAT_LIMIT:
+        r = bs.value(exact=True) if mode.is_exact else float(bs.reflectivity)
         return [_count_probability(mode_a, mode_b, p, r) for p in range(total + 1)]
     return walk.rotation_probabilities(FockPair(total, mode_a - mode_b), bs).tolist()
 
@@ -197,7 +199,7 @@ def distribution(
     if mode.is_exact:
         probs = [_closed_form(total, delta, d, r) for d in pair.lattice()]
     else:
-        probs = _float_counts(pair.mode_a, pair.mode_b, bs)
+        probs = _counts(pair.mode_a, pair.mode_b, bs)
     return DeltaDistribution(total, tuple(probs))
 
 
@@ -215,9 +217,5 @@ def amplitude_expansion(
     if mode_a < 0 or mode_b < 0:
         raise LatticeError("mode occupations must be non-negative")
     total = mode_a + mode_b
-    if mode.is_exact:
-        r = bs.value(exact=True)
-        probs = [_count_probability(mode_a, mode_b, p, r) for p in range(total + 1)]
-    else:
-        probs = _float_counts(mode_a, mode_b, bs)
+    probs = _counts(mode_a, mode_b, bs, mode)
     return JointCountDistribution({(p, total - p): prob for p, prob in enumerate(probs)})

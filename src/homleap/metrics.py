@@ -58,12 +58,13 @@ class VisibilityReport:
     nonclassical: bool
 
     def __post_init__(self):
-        if self.nonclassical != (self.value > Fraction(1, 2)):
+        if self.nonclassical != (2 * self.value > 1):
             raise RangeError("nonclassical flag must equal (value > 1/2)")
 
 
 def _report(value) -> VisibilityReport:
-    return VisibilityReport(value, value > Fraction(1, 2))
+    # doubling is exact for floats and Fractions: the test against 1/2 is exact
+    return VisibilityReport(value, 2 * value > 1)
 
 
 def visibility_from_moments(g_ab, g_aa, g_bb, r) -> VisibilityReport:

@@ -22,7 +22,7 @@ Number = Union[int, float, Fraction]
 #: far below any physical tolerance used here)
 DENORMAL_FLOOR = 1e-300
 
-#: default normalization tolerance for float-mode distributions; oracle
+#: normalization tolerance for float-mode distributions; oracle
 #: agreement targets 1e-9, so state must be cleaner than the comparison
 NORMALIZATION_TOL = 1e-10
 
@@ -161,7 +161,7 @@ def _flush(value):
     return value
 
 
-def _check_mass(values, what: str, tolerance: float = NORMALIZATION_TOL):
+def _check_mass(values, what: str):
     """Non-negativity and normalization; exact when all entries are exact."""
     exact = all(isinstance(v, (int, Fraction)) for v in values)
     total = sum(values)
@@ -170,8 +170,8 @@ def _check_mass(values, what: str, tolerance: float = NORMALIZATION_TOL):
     if exact:
         if total != 1:
             raise RangeError(f"{what} does not sum to 1 exactly (got {total})")
-    elif abs(total - 1.0) > tolerance:
-        raise RangeError(f"{what} sums to {total!r}, outside tolerance {tolerance}")
+    elif abs(total - 1.0) > NORMALIZATION_TOL:
+        raise RangeError(f"{what} sums to {total!r}, outside tolerance {NORMALIZATION_TOL}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Distinguishability, mixed sources, detector loss, binning, 2-D products."""
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -65,12 +66,12 @@ class TestDecoherence:
         ],
     )
     def test_matches_four_mode_evolution(self, total, n_b, y, r, beam):
+        # the reference rotates the named beam; the package always decomposes
+        # the first, and only the relative polarization matters
         theta = math.asin(math.sqrt(r))
         reference = four_mode_delta_marginal(total, n_b, y, theta, beam)
         pair = hl.FockPair.from_modes(total - n_b, n_b)
-        got = hl.decohere_distribution(
-            pair, hl.DistinguishabilityAngle(y), hl.BeamSplitter(r), rotated_beam=beam
-        )
+        got = hl.decohere_distribution(pair, hl.DistinguishabilityAngle(y), hl.BeamSplitter(r))
         worst = max(abs(reference.get(d, 0.0) - got.prob(d)) for d in range(-total, total + 1))
         assert worst < 1e-14
 
@@ -78,9 +79,12 @@ class TestDecoherence:
     @pytest.mark.parametrize("r", ["1/10", "1/2", "7/10"])
     @pytest.mark.parametrize("beam", ["a", "b"])
     def test_float_endpoints_match_exact(self, total, n_b, r, beam):
-        # y = 0 is the pure process; y = pi/2 two independent binomial splittings
+        # y = 0 is the pure process; y = pi/2 two independent binomial splittings.
+        # beam names the input holding total - n_b photons, so the decomposed
+        # first beam is the larger one for "a" and the smaller one for "b"
         exact_bs = hl.BeamSplitter.exact(r)
-        pair = hl.FockPair.from_modes(total - n_b, n_b)
+        modes = (total - n_b, n_b) if beam == "a" else (n_b, total - n_b)
+        pair = hl.FockPair.from_modes(*modes)
         r, cap_k, cap_l = Fraction(r), pair.mode_a, pair.mode_b
         classical = [Fraction(0)] * (total + 1)
         for i in range(cap_k + 1):
@@ -91,10 +95,24 @@ class TestDecoherence:
                 )
         pure = hl.distribution(pair, exact_bs, hl.RATIONAL).probs
         for y, exact in ((0.0, pure), (math.pi / 2, classical)):
-            got = hl.decohere_distribution(
-                pair, hl.DistinguishabilityAngle(y), exact_bs, rotated_beam=beam
-            )
+            got = hl.decohere_distribution(pair, hl.DistinguishabilityAngle(y), exact_bs)
             assert max(abs(g - float(e)) for g, e in zip(got.probs, exact)) < 1e-14
+
+    def test_swapping_the_beams_mirrors_the_output(self):
+        # P_{K,L}(Delta) = P_{L,K}(-Delta): the swapped run decomposes the other
+        # beam, so this checks the single path above the S = 12 seam
+        rng = random.Random(20261018)
+        worst = 0.0
+        for _ in range(40):
+            cap_k, cap_l = rng.randint(0, 40), rng.randint(0, 40)
+            if cap_k + cap_l <= 12:
+                cap_l += 13
+            angle = hl.DistinguishabilityAngle(rng.uniform(0.0, math.pi / 2))
+            bs = hl.BeamSplitter(rng.uniform(0.01, 0.99))
+            got = hl.decohere_distribution(hl.FockPair.from_modes(cap_k, cap_l), angle, bs)
+            swapped = hl.decohere_distribution(hl.FockPair.from_modes(cap_l, cap_k), angle, bs)
+            worst = max(worst, max(abs(g - s) for g, s in zip(got.probs, swapped.probs[::-1])))
+        assert worst < 1e-14
 
     def test_intermediate_angle_moves_peaks_inward(self):
         # the double peak drifts toward the center as y grows

@@ -188,7 +188,8 @@ class TestSweep:
         else:
             joint = hl.amplitude_expansion(4, 2, hl.BeamSplitter(float(Fraction(r))))
         for eta in grid:
-            thinned = hl.apply_detector_loss(joint, hl.Detector(efficiency=float(eta)))
+            efficiency = Fraction(eta) if mode == "rational" else float(eta)
+            thinned = hl.apply_detector_loss(joint, hl.Detector(efficiency=efficiency))
             marginal = hl.delta_marginal(thinned)
             mean, var = _fmt(hl.mean_delta(marginal)), _fmt(hl.variance_delta(marginal))
             expected = [(str(d), _fmt(p), mean, var) for d, p in marginal.items()]
@@ -197,6 +198,33 @@ class TestSweep:
                 for row in rows if row["eta_det"] == eta
             ]
             assert block == expected
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("--param", "eta_det", "--grid", "1,0.9", "--s", "2", "--delta", "0"),
+             {"1": ["4/9", "1/9", "4/9"], "0.9": ["9/25", "9/100", "1/10", "9/100", "9/25"]}),
+            (("--param", "eta", "--grid", "1/2", "--k", "1", "--l", "1"),
+             {"1/2": ["1/9", "1/4", "5/18", "1/4", "1/9"]}),
+        ],
+        ids=["eta_det", "eta"],
+    )
+    def test_rational_loss_sweeps_stay_exact(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, "sweep", *argv, "--r", "1/3", "--mode", "rational")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        param = argv[1]
+        assert {value: [row["probability"] for row in rows if row[param] == value]
+                for value in expected} == expected
+
+    @pytest.mark.parametrize("param", ["eta", "eta_det"])
+    def test_zero_denominator_loss_grid_exits_2(self, capsys, param):
+        code, _, err = run_cli(
+            capsys, "sweep", "--param", param, "--grid", "1/0", "--k", "1", "--l", "1",
+            "--s", "2", "--delta", "0", "--r", "1/3", "--mode", "rational",
+        )
+        assert code == 2
+        assert "zero denominator" in err
 
 
 class TestMissingParameters:

@@ -126,6 +126,28 @@ class TestVisibility:
         with pytest.raises(hl.RangeError):
             hl.VisibilityReport(0.7, False)
 
+    @pytest.mark.parametrize("r", [0.5, Fraction(1, 2)])
+    def test_exactly_one_half_is_classical(self, r):
+        # at r = 1/2, <:na^2:> + <:nb^2:> = 2 <:na nb:> gives V = 1/2 exactly
+        report = hl.visibility_from_moments(1, 1, 1, r)
+        assert report.value == Fraction(1, 2) and type(report.value) is type(r)
+        assert not report.nonclassical
+        with pytest.raises(hl.RangeError):
+            hl.VisibilityReport(report.value, True)
+
+    @pytest.mark.parametrize(
+        "r,g_bb,above",
+        [
+            (0.5, 1 - 2.0**-50, math.nextafter(0.5, 1.0)),
+            (Fraction(1, 2), 1 - Fraction(1, 10**30), Fraction(2 * 10**30, 4 * 10**30 - 1)),
+        ],
+    )
+    def test_just_above_one_half_is_nonclassical(self, r, g_bb, above):
+        report = hl.visibility_from_moments(1, 1, g_bb, r)
+        assert report.value == above and report.nonclassical
+        with pytest.raises(hl.RangeError):
+            hl.VisibilityReport(above, False)
+
     def test_mask_nesting_and_diagonal_prefix(self):
         masks = {r: hl.nonclassical_mask(50, 50, r) for r in (0.36, 0.39, 0.43, 0.45, 0.5)}
         order = [0.36, 0.39, 0.43, 0.45, 0.5]  # increasing r(1-r)
