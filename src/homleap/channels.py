@@ -116,7 +116,7 @@ class MixedFockSource:
     def __post_init__(self):
         if self.nominal < 0:
             raise RangeError("nominal photon number must be non-negative")
-        if not (0.0 <= float(self.eta) <= 1.0):
+        if not (0 <= self.eta <= 1):
             raise RangeError(f"eta must lie in [0, 1], got {self.eta}")
 
     def weights(self):
@@ -171,7 +171,7 @@ def decohere_distribution(
         # the first port with probability 1-r (fixed by the single-photon
         # expansion), and the 1-r split is the r split reversed
         out += w * np.convolve(_counts(n, fixed, bs, mode), _binomial(rotated - n, r)[::-1])
-    return DeltaDistribution(pair.total, tuple(out.tolist()))
+    return DeltaDistribution(pair.total, out)
 
 
 def classical_reference(pair: FockPair, bs: BeamSplitter) -> DeltaDistribution:
@@ -184,7 +184,7 @@ def classical_reference(pair: FockPair, bs: BeamSplitter) -> DeltaDistribution:
     """
     r = bs.reflectivity  # the 1-r split is the r split reversed, with no 1-(1-r)
     out = np.convolve(_binomial(pair.mode_a, r)[::-1], _binomial(pair.mode_b, r))
-    return DeltaDistribution(pair.total, tuple(out.tolist()))
+    return DeltaDistribution(pair.total, out)
 
 
 def mixed_distribution(
@@ -280,17 +280,22 @@ def _purity_of(nominal: int, eta: float) -> float:
     return purity(MixedFockSource(nominal, eta))
 
 
-def _bisect(increasing, target: float, tol: float) -> float:
-    """Where an increasing function of eta crosses target on [1/2, 1]."""
+def _bisect(increasing, target: float) -> float:
+    """Where an increasing function of eta crosses target on [1/2, 1], to 1e-12."""
     lo, hi = 0.5, 1.0
-    while hi - lo > tol * 0.5:
+    while hi - lo > 0.5e-12:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if increasing(mid) < target else (lo, mid)
     return 0.5 * (lo + hi)
 
 
-def eta_for_purity(nominal: int, target: float, tol: float = 1e-12) -> float:
-    """Survival probability giving the requested purity, by bisection.
+def eta_for_purity(nominal: int, target: float) -> float:
+    """Survival probability giving the requested purity of one source."""
+    return eta_for_joint_purity(nominal, 0, target)
+
+
+def eta_for_joint_purity(nominal_a: int, nominal_b: int, target: float) -> float:
+    """Common survival probability giving a joint (product) input purity, by bisection.
 
     Purity is monotone increasing on eta in [1/2, 1]; targets below the
     eta = 1/2 floor (or above 1) have no solution.
@@ -299,32 +304,15 @@ def eta_for_purity(nominal: int, target: float, tol: float = 1e-12) -> float:
         raise NoSolution(f"purity target {target} outside (0, 1]")
     if target == 1.0:
         return 1.0
-    if nominal == 0:
-        raise NoSolution("a vacuum source has purity 1 for every eta")
-    floor = _purity_of(nominal, 0.5)
-    if target < floor:
-        raise NoSolution(
-            f"purity {target} below the achievable floor {floor:.6f} for K={nominal}"
-        )
-    return _bisect(lambda eta: _purity_of(nominal, eta), target, tol)
-
-
-def eta_for_joint_purity(
-    nominal_a: int, nominal_b: int, target: float, tol: float = 1e-12
-) -> float:
-    """Common survival probability giving a joint (product) input purity."""
-    if not (0.0 < target <= 1.0):
-        raise NoSolution(f"purity target {target} outside (0, 1]")
-    if target == 1.0:
-        return 1.0
     if nominal_a == 0 and nominal_b == 0:
-        raise NoSolution("two vacuum sources have joint purity 1 for every eta")
+        raise NoSolution("vacuum sources have purity 1 for every eta")
 
-    def joint(eta):
-        return _purity_of(nominal_a, eta) * _purity_of(nominal_b, eta)
+    def joint(eta):  # a vacuum source's purity is exactly 1
+        return math.prod(_purity_of(n, eta) for n in (nominal_a, nominal_b) if n)
 
     if target < joint(0.5):
         raise NoSolution(
-            f"joint purity {target} below the achievable floor {joint(0.5):.6f}"
+            f"purity {target} below the achievable floor {joint(0.5):.6f} "
+            f"for K={nominal_a}, L={nominal_b}"
         )
-    return _bisect(joint, target, tol)
+    return _bisect(joint, target)

@@ -72,6 +72,8 @@ def _number(text: str, mode, what: str):
         value = Fraction(text)
     except ZeroDivisionError:
         raise RangeError(f"{what} {text!r} has a zero denominator") from None
+    if abs(value) > sys.float_info.max:
+        raise RangeError(f"{what} {text!r} is beyond the float range")
     return value if mode.is_exact else float(value)
 
 
@@ -216,7 +218,7 @@ def _sweep_series(param: str, grid: list, args, config, mode):
         n_b = int(arg("n"))
         bs = _beam_splitter(str(arg("r")), mode)
         for value in grid:
-            yield value, _decohered(total, n_b, float(value), bs, mode)
+            yield value, _decohered(total, n_b, _number(value, mode, "y"), bs, mode)
     elif param == "eta":
         nominal_a = int(arg("k"))
         nominal_b = int(arg("l"))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Union
+from typing import List, Sequence, Union
 
 from .errors import LatticeError, RangeError
 from .states import (
@@ -155,13 +155,13 @@ def _count_probability(cap_k, cap_l, p, r):
     return bracket * bracket * a**rho_r * c**rho_t * weight
 
 
-def _counts(mode_a: int, mode_b: int, bs: BeamSplitter, mode: NumericMode = FLOAT) -> list:
+def _counts(mode_a: int, mode_b: int, bs: BeamSplitter, mode: NumericMode = FLOAT) -> Sequence:
     """Lossless P(p) for p = 0..K+L photons leaving by the first port."""
     total = mode_a + mode_b
     if mode.is_exact or total <= DIRECT_FLOAT_LIMIT:
         r = bs.value(exact=True) if mode.is_exact else float(bs.reflectivity)
         return [_count_probability(mode_a, mode_b, p, r) for p in range(total + 1)]
-    return walk.rotation_probabilities(FockPair(total, mode_a - mode_b), bs).tolist()
+    return walk.rotation_probabilities(FockPair(total, mode_a - mode_b), bs)
 
 
 def prob_delta_out(
@@ -200,7 +200,7 @@ def distribution(
         probs = [_closed_form(total, delta, d, r) for d in pair.lattice()]
     else:
         probs = _counts(pair.mode_a, pair.mode_b, bs)
-    return DeltaDistribution(total, tuple(probs))
+    return DeltaDistribution(total, probs)
 
 
 def amplitude_expansion(

@@ -5,6 +5,11 @@ two output ports, Delta_out = p - q.  With S photons in total it lives on
 the step-2 lattice {-S, -S+2, ..., S}, so every distribution here is stored
 densely over that lattice (zeros included): parity violations then show up
 as literal nonzero entries instead of missing keys.
+
+Both value types validate their probabilities once, on construction, in
+`_checked`: producers hand over their arrays or lists as they are, a float
+array is flushed and checked as one array, and the stored values are tuples
+of Python numbers (`probs`) or a read-only mapping (`entries`).
 """
 from __future__ import annotations
 
@@ -13,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple, Union
+
+import numpy as np
 
 from .errors import LatticeError, ModeError, ParityMismatch, RangeError
 
@@ -87,8 +94,6 @@ class BeamSplitter:
     reflectivity: float
     rational_form: Fraction | None = None
 
-    PHASE = math.pi
-
     def __post_init__(self):
         r = self.reflectivity
         if not (0.0 <= r <= 1.0):
@@ -111,6 +116,8 @@ class BeamSplitter:
         or a decimal string such as "0.2".
         """
         frac = Fraction(value)
+        if not (0 <= frac <= 1):
+            raise RangeError(f"reflectivity must lie in [0, 1], got {value!r}")
         return cls(float(frac), frac)
 
     @property
@@ -154,24 +161,28 @@ FLOAT = NumericMode("float")
 RATIONAL = NumericMode("rational")
 
 
-def _flush(value):
-    """Flush float denormal noise to exact zero; leave exact types alone."""
-    if isinstance(value, float) and abs(value) < DENORMAL_FLOOR:
-        return 0.0
-    return value
+def _checked(values, what: str) -> tuple:
+    """The entries of a probability vector, validated, as a tuple.
 
-
-def _check_mass(values, what: str):
-    """Non-negativity and normalization; exact when all entries are exact."""
-    exact = all(isinstance(v, (int, Fraction)) for v in values)
-    total = sum(values)
-    if any(v < 0 for v in values):
-        raise RangeError(f"{what} contains negative probabilities")
-    if exact:
-        if total != 1:
-            raise RangeError(f"{what} does not sum to 1 exactly (got {total})")
-    elif abs(total - 1.0) > NORMALIZATION_TOL:
+    Entries that are all int or Fraction are exact: none is flushed and they
+    must sum to exactly 1.  Anything else is checked as one float64 array:
+    entries below DENORMAL_FLOOR become 0.0, and the rest must be finite and
+    non-negative with |sum - 1| <= NORMALIZATION_TOL.
+    """
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        if any(v < 0 for v in values):
+            raise RangeError(f"{what} contains negative probabilities")
+        if sum(values) != 1:
+            raise RangeError(f"{what} does not sum to 1 exactly (got {sum(values)})")
+        return tuple(values)
+    values = np.asarray(values, dtype=float)
+    values = np.where(np.abs(values) < DENORMAL_FLOOR, 0.0, values)
+    total = float(values.sum())
+    if not math.isfinite(total) or values.min() < 0:
+        raise RangeError(f"{what} contains negative or non-finite probabilities")
+    if abs(total - 1.0) > NORMALIZATION_TOL:
         raise RangeError(f"{what} sums to {total!r}, outside tolerance {NORMALIZATION_TOL}")
+    return tuple(values.tolist())
 
 
 @dataclass(frozen=True)
@@ -184,13 +195,11 @@ class DeltaDistribution:
     def __post_init__(self):
         if self.total < 0:
             raise RangeError("photon total must be non-negative")
-        probs = tuple(_flush(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
-        if len(probs) != self.total + 1:
+        if len(self.probs) != self.total + 1:
             raise LatticeError(
-                f"expected {self.total + 1} lattice entries, got {len(probs)}"
+                f"expected {self.total + 1} lattice entries, got {len(self.probs)}"
             )
-        _check_mass(probs, "distribution")
+        object.__setattr__(self, "probs", _checked(self.probs, "distribution"))
 
     @classmethod
     def from_mapping(cls, total: int, mapping: Mapping[int, Number]) -> "DeltaDistribution":
@@ -207,7 +216,7 @@ class DeltaDistribution:
                     )
                 continue
             probs[(delta_out + total) // 2] = prob
-        return cls(total, tuple(probs))
+        return cls(total, probs)
 
     def lattice(self) -> list:
         return delta_lattice(self.total)
@@ -240,13 +249,12 @@ class JointCountDistribution:
     entries: Mapping[Tuple[int, int], Number]
 
     def __post_init__(self):
+        probs = _checked(list(self.entries.values()), "joint count distribution")
         entries = {}
-        for key, prob in self.entries.items():
-            p, q = key
+        for (p, q), prob in zip(self.entries, probs):
             if p < 0 or q < 0:
-                raise RangeError(f"negative count pair {key}")
-            entries[(int(p), int(q))] = _flush(prob)
-        _check_mass(list(entries.values()), "joint count distribution")
+                raise RangeError(f"negative count pair {(p, q)}")
+            entries[(int(p), int(q))] = prob
         object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def probability(self, p: int, q: int):

@@ -122,8 +122,7 @@ def evolve(pair: FockPair, theta: float) -> AmplitudeVector:
 
 def evolved_distribution(pair: FockPair, bs: BeamSplitter) -> DeltaDistribution:
     """Output statistics by direct unitary evolution (the ground-truth route)."""
-    probs = evolve(pair, bs.theta).probabilities()
-    return DeltaDistribution(pair.total, tuple(float(p) for p in probs))
+    return DeltaDistribution(pair.total, evolve(pair, bs.theta).probabilities())
 
 
 def _check_spin_indices(two_s: int, *two_ms: int):

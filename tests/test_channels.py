@@ -216,6 +216,13 @@ class TestMixedSources:
         for key, prob in expected.items():
             assert joint.probability(*key) == prob
 
+    @pytest.mark.parametrize(
+        "eta", [Fraction("1e400"), Fraction("-1e400"), 10**400], ids=["1e400", "-1e400", "int"]
+    )
+    def test_eta_beyond_float_range(self, eta):
+        with pytest.raises(hl.RangeError):
+            hl.MixedFockSource(3, eta)
+
     def test_weights_sum_to_one(self):
         for nominal, eta in ((5, 0.9), (10, 0.3), (0, 0.5)):
             src = hl.MixedFockSource(nominal, eta)

@@ -226,6 +226,43 @@ class TestSweep:
         assert code == 2
         assert "zero denominator" in err
 
+    def test_y_grid_accepts_p_over_q(self, capsys):
+        blocks = {}
+        for grid in ("1/2", "0.5"):
+            code, out, _ = run_cli(
+                capsys, "sweep", "--param", "y", "--grid", grid, "--s", "4", "--n", "2", "--r", "0.5",
+            )
+            assert code == 0
+            columns = ("delta_out", "probability", "mean", "variance")
+            blocks[grid] = [tuple(row[c] for c in columns) for row in csv.DictReader(out.splitlines())]
+        assert len(blocks["1/2"]) == 5
+        assert blocks["1/2"] == blocks["0.5"]
+
+    def test_zero_denominator_y_grid_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--param", "y", "--grid", "1/0", "--s", "4", "--n", "2", "--r", "0.5",
+        )
+        assert code == 2
+        assert "zero denominator" in err
+
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dist", "--s", "2", "--delta", "0", "--r", "1e400"),
+            ("sweep", "--param", "r", "--grid", "0.5,1e400", "--s", "2", "--delta", "0"),
+            ("sweep", "--param", "eta", "--grid", "1e400", "--k", "1", "--l", "1", "--r", "1/2"),
+            ("sweep", "--param", "eta_det", "--grid", "1e400", "--s", "2", "--delta", "0",
+             "--r", "1/2"),
+            ("sweep", "--param", "y", "--grid", "1e400", "--s", "4", "--n", "2", "--r", "1/2"),
+        ],
+        ids=["dist_r", "r_grid", "eta_grid", "eta_det_grid", "y_grid"],
+    )
+    def test_beyond_float_range_exits_2(self, capsys, argv, mode):
+        code, _, err = run_cli(capsys, *argv, "--mode", mode)
+        assert code == 2
+        assert "beyond the float range" in err
+
 
 class TestMissingParameters:
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import homleap as hl
@@ -85,6 +86,10 @@ class TestBeamSplitter:
         with pytest.raises(hl.RangeError):
             hl.BeamSplitter(0.5, Fraction(1, 3))
 
+    def test_exact_beyond_float_range(self):
+        with pytest.raises(hl.RangeError):
+            hl.BeamSplitter.exact("1e400")
+
     def test_float_value_without_rational_form(self):
         with pytest.raises(hl.ModeError):
             hl.BeamSplitter(0.5).value(exact=True)
@@ -137,6 +142,37 @@ class TestDeltaDistribution:
         dist = hl.DeltaDistribution.from_mapping(2, {-2: 0.5, 2: 0.5})
         assert dist.probs == (0.5, 0.0, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", [tuple, list, np.array])
+    def test_non_finite_entries_rejected(self, bad, kind):
+        with pytest.raises(hl.RangeError):
+            hl.DeltaDistribution(1, kind((bad, bad)))
+        with pytest.raises(hl.RangeError):
+            hl.DeltaDistribution(2, kind((bad, 0.5, 0.5)))
+
+    @pytest.mark.parametrize("kind", [tuple, list, np.array])
+    def test_input_container_does_not_change_probs(self, kind):
+        values = (0.25, 0.0, 0.5, 0.25, 1e-320)
+        dist = hl.DeltaDistribution(4, kind(values))
+        assert dist.probs == (0.25, 0.0, 0.5, 0.25, 0.0)
+        assert all(type(p) is float for p in dist.probs)
+        assert hash(dist) == hash(hl.DeltaDistribution(4, values))
+
+    def test_exact_object_array_stays_exact(self):
+        probs = np.array([Fraction(1, 3), Fraction(0), Fraction(2, 3)], dtype=object)
+        dist = hl.DeltaDistribution(2, probs)
+        assert dist.probs == (Fraction(1, 3), Fraction(0), Fraction(2, 3))
+        assert all(type(p) is Fraction for p in dist.probs)
+        with pytest.raises(hl.RangeError):
+            hl.DeltaDistribution(1, np.array([Fraction(1, 3), Fraction(1, 3)], dtype=object))
+
+    @pytest.mark.parametrize("denormal", [1e-320, -1e-320])
+    def test_denormal_in_array_flushed(self, denormal):
+        probs = np.array([0.5, denormal, 0.5])
+        dist = hl.DeltaDistribution(2, probs)
+        assert dist.probs == (0.5, 0.0, 0.5)
+        assert probs[1] == denormal  # the caller's array is left alone
+
 
 class TestJointAndMarginal:
     def test_point_marginal(self):
@@ -158,6 +194,24 @@ class TestJointAndMarginal:
     def test_normalization_enforced(self):
         with pytest.raises(hl.RangeError):
             hl.JointCountDistribution({(1, 0): 0.8})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(hl.RangeError):
+            hl.JointCountDistribution({(1, 0): bad})
+        with pytest.raises(hl.RangeError):
+            hl.JointCountDistribution({(1, 0): bad, (0, 1): 0.5, (0, 0): 0.5})
+
+    def test_values_validated_as_one_array(self):
+        joint = hl.JointCountDistribution({(1, 0): np.float64(0.5), (0, 1): 0.5, (0, 0): 1e-320})
+        assert dict(joint.entries) == {(1, 0): 0.5, (0, 1): 0.5, (0, 0): 0.0}
+        assert all(type(p) is float for p in joint.entries.values())
+
+    def test_exact_values_stay_exact(self):
+        joint = hl.JointCountDistribution({(1, 0): Fraction(1, 3), (0, 1): Fraction(2, 3)})
+        assert all(type(p) is Fraction for p in joint.entries.values())
+        with pytest.raises(hl.RangeError):
+            hl.JointCountDistribution({(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 3)})
 
     @pytest.mark.parametrize("total,delta", [(4, 2), (7, -3), (10, 0)])
     def test_lossless_support_satisfies_p_plus_q(self, total, delta):
