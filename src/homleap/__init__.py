@@ -31,15 +31,11 @@ from .states import (
     delta_marginal,
 )
 from .closedform import (
-    ClosedFormTerm,
     amplitude_expansion,
-    closed_form_terms,
     distribution,
     prob_delta_out,
 )
 from .walk import (
-    AmplitudeVector,
-    TridiagonalHamiltonian,
     build_hamiltonian,
     evolve,
     evolved_distribution,
@@ -79,9 +75,7 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeVector",
     "BeamSplitter",
-    "ClosedFormTerm",
     "DegenerateError",
     "DeltaDistribution",
     "Detector",
@@ -99,14 +93,12 @@ __all__ = [
     "ParityMismatch",
     "RATIONAL",
     "RangeError",
-    "TridiagonalHamiltonian",
     "VisibilityReport",
     "amplitude_expansion",
     "apply_detector_loss",
     "bin_resolution",
     "build_hamiltonian",
     "classical_reference",
-    "closed_form_terms",
     "decohere_distribution",
     "delta_lattice",
     "delta_marginal",

@@ -38,6 +38,7 @@ from .states import (
     FockPair,
     JointCountDistribution,
     NumericMode,
+    _integer,
 )
 
 
@@ -90,14 +91,10 @@ class DistinguishabilityAngle:
     _ENDPOINT_SNAP = 1e-4
 
     def __post_init__(self):
-        y = float(self.y)
-        if -self._ENDPOINT_SNAP < y < 0.0:
-            y = 0.0
-        elif math.pi / 2 < y < math.pi / 2 + self._ENDPOINT_SNAP:
-            y = math.pi / 2
-        if not (0.0 <= y <= math.pi / 2):
+        # compared before float(), which overflows on a huge Fraction
+        if not (-self._ENDPOINT_SNAP < self.y < math.pi / 2 + self._ENDPOINT_SNAP):
             raise RangeError(f"distinguishability angle must lie in [0, pi/2], got {self.y}")
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", min(max(float(self.y), 0.0), math.pi / 2))
 
     def weights(self, count: int, exact: bool = False):
         """Binomial weights over the parallel-sector photon number n."""
@@ -114,6 +111,7 @@ class MixedFockSource:
     eta: float
 
     def __post_init__(self):
+        _integer(self.nominal, "nominal photon number")
         if self.nominal < 0:
             raise RangeError("nominal photon number must be non-negative")
         if not (0 <= self.eta <= 1):
@@ -249,6 +247,7 @@ def bin_resolution(marginal: Mapping[int, float], width: int) -> Dict[int, float
     ties at bin edges go to the higher bin.  Width below the lattice step
     acts as the identity.
     """
+    width = _integer(width, "bin width")
     if width < 1:
         raise RangeError("bin width must be a positive integer")
     if width < 2:
@@ -300,6 +299,8 @@ def eta_for_joint_purity(nominal_a: int, nominal_b: int, target: float) -> float
     Purity is monotone increasing on eta in [1/2, 1]; targets below the
     eta = 1/2 floor (or above 1) have no solution.
     """
+    nominal_a = _integer(nominal_a, "nominal photon number")
+    nominal_b = _integer(nominal_b, "nominal photon number")
     if not (0.0 < target <= 1.0):
         raise NoSolution(f"purity target {target} outside (0, 1]")
     if target == 1.0:

@@ -1,9 +1,9 @@
 """Closed-form output statistics of two Fock states meeting at a beam splitter.
 
 `amplitude_expansion` expands the output state term by term and squares
-collected amplitudes; the single-sum closed form (`closed_form_terms`, and
-`prob_delta_out`/`distribution` in exact-rational mode) evaluates each
-outcome directly.  The port/sign convention is pinned by the single-photon
+collected amplitudes; the single-sum closed form (`_closed_form`, exact mode
+only) evaluates each outcome directly over integers, as the referee of the
+float routes.  The port/sign convention is pinned by the single-photon
 case: a photon entering the first mode leaves through the first port with
 probability 1-r, so r = 0 is the identity and r = 1 maps Delta to -Delta.
 
@@ -17,12 +17,11 @@ that sum at and below DIRECT_FLOAT_LIMIT, the squared eigenvector column of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Sequence, Union
+from typing import Sequence
 
-from .errors import LatticeError, RangeError
+from .errors import LatticeError
 from .states import (
     FLOAT,
     BeamSplitter,
@@ -43,56 +42,10 @@ from . import walk
 DIRECT_FLOAT_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class ClosedFormTerm:
-    """One summand of the closed form, indexed by k."""
-
-    k: int
-    value: Union[float, Fraction]
-
-
 def _term_range(total, delta, delta_out):
     lo = max(0, (delta_out - delta) // 2)
     hi = min((total - delta) // 2, (total + delta_out) // 2)
     return lo, hi
-
-
-def closed_form_terms(
-    pair: FockPair, bs: BeamSplitter, delta_out: int, mode: NumericMode = FLOAT
-) -> List[ClosedFormTerm]:
-    """The closed-form summands for one outcome, k in ascending order.
-
-    k runs from max{0, (delta_out-delta)/2} to min{(S-delta)/2,
-    (S+delta_out)/2}.  Undefined at the singular endpoints r = 0 and r = 1,
-    which the probability routines short-circuit instead.
-    """
-    total, delta = pair.total, pair.delta
-    if abs(delta_out) > total or (total - delta_out) % 2 != 0:
-        raise LatticeError(f"{delta_out} is off the lattice of S={total}")
-    r = bs.value(mode.is_exact)
-    if r == 0 or r == 1:
-        raise RangeError("closed-form terms are singular at r = 0 and r = 1")
-    r = r if mode.is_exact else float(r)
-    f_plus = (total + delta) // 2
-    f_minus = (total - delta) // 2
-    f_plus_out = (total + delta_out) // 2
-    ratio = r / (r - 1)
-    lo, hi = _term_range(total, delta, delta_out)
-    if lo > hi:
-        return []
-    # each summand from its predecessor
-    term = comb(f_minus, lo) * comb(f_plus, f_plus_out - lo) * ratio**lo
-    terms = [ClosedFormTerm(lo, term)]
-    for k in range(lo, hi):
-        term = (
-            term
-            * (f_minus - k)
-            * (f_plus_out - k)
-            * ratio
-            / ((k + 1) * (f_plus - f_plus_out + k + 1))
-        )
-        terms.append(ClosedFormTerm(k + 1, term))
-    return terms
 
 
 def _point_mass(total: int, at: int, exact: bool) -> DeltaDistribution:

@@ -35,8 +35,15 @@ def variance_delta(dist):
     return sum(p * (d - mean) ** 2 for d, p in _items(dist))
 
 
+def _check_reflectivity(r):
+    # one chained comparison, exact for Fraction and float, and false for NaN
+    if not 0 <= r <= 1:
+        raise RangeError(f"reflectivity must lie in [0, 1], got {r!r}")
+
+
 def predicted_mean(total: int, delta: int, r):
     """Exact mean law Delta*(1-2r); Fraction in, Fraction out."""
+    _check_reflectivity(r)
     return delta * (1 - 2 * r)
 
 
@@ -46,6 +53,7 @@ def predicted_variance(total: int, delta: int, r):
     sin^2 of the calibrated rotation angle is 4r(1-r); the small-r limit
     is proportional to the ballistic theta^2 form.
     """
+    _check_reflectivity(r)
     base = (total * total - delta * delta) // 2 + total
     return base * 4 * r * (1 - r)
 
@@ -73,6 +81,7 @@ def visibility_from_moments(g_ab, g_aa, g_bb, r) -> VisibilityReport:
     Invariant under common scaling of the three moments, which is the
     algebraic form of loss immunity.
     """
+    _check_reflectivity(r)
     t = 1 - r
     numerator = 2 * r * t * g_ab
     denominator = r * t * (g_aa + g_bb) + (r * r + t * t) * g_ab

@@ -14,6 +14,7 @@ of Python numbers (`probs`) or a read-only mapping (`entries`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -34,6 +35,14 @@ DENORMAL_FLOOR = 1e-300
 NORMALIZATION_TOL = 1e-10
 
 
+def _integer(value, what: str) -> int:
+    """value as a Python int; RangeError unless it is an integer (numpy ints pass)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise RangeError(f"{what} must be an integer, got {value!r}") from None
+
+
 def delta_lattice(total: int) -> list:
     """Reachable population differences {-S, -S+2, ..., S}; length S+1."""
     if total < 0:
@@ -49,6 +58,8 @@ class FockPair:
     delta: int
 
     def __post_init__(self):
+        _integer(self.total, "photon total")
+        _integer(self.delta, "delta")
         if self.total < 0:
             raise RangeError(f"photon total must be non-negative, got {self.total}")
         if abs(self.delta) > self.total:

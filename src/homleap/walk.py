@@ -1,10 +1,10 @@
 """Line-graph walk machinery: hopping generator, unitary evolution, Wigner rotations.
 
 The generator is the symmetric tridiagonal matrix of nearest neighbour
-hoppings on the Delta lattice.  Evolution through its full
-eigendecomposition (exact unitarity up to rounding, and the equally
-spaced spectrum doubles as a built-in test) is the brute-force ground
-truth the other routes are checked against.
+hoppings on the Delta lattice (`build_hamiltonian` returns its couplings).
+Evolution through its full eigendecomposition (`evolve`, complex amplitude
+arrays) is the brute-force oracle the other routes are checked against; its
+unitarity and equally spaced spectrum double as built-in tests.
 
 The same transition probabilities are the squared Wigner small-d column
 of spin S/2 at rotation angle beta = 2*theta, r = sin^2(theta); that
@@ -17,9 +17,7 @@ closed-form seam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -27,7 +25,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
 
 from .errors import DomainError, LatticeError, RangeError
-from .states import BeamSplitter, DeltaDistribution, FockPair, delta_lattice
+from .states import BeamSplitter, DeltaDistribution, FockPair
+
 
 def hopping_amplitude(total: int, delta: int) -> float:
     """Hopping amplitude on the lattice edge between delta and delta-2.
@@ -42,38 +41,17 @@ def hopping_amplitude(total: int, delta: int) -> float:
     return 0.5 * math.sqrt((total + delta) * (total - delta + 2))
 
 
-@dataclass(frozen=True)
-class TridiagonalHamiltonian:
-    """Symmetric tridiagonal walk generator with zero diagonal."""
+def build_hamiltonian(total: int) -> np.ndarray:
+    """Couplings of the walk generator on the Delta lattice of S photons.
 
-    total: int
-    off_diagonal: Tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.off_diagonal) != self.total:
-            raise LatticeError(
-                f"expected {self.total} couplings, got {len(self.off_diagonal)}"
-            )
-        if self.total >= 1 and any(c <= 0 for c in self.off_diagonal):
-            raise RangeError("all couplings must be strictly positive")
-
-    def dense(self) -> np.ndarray:
-        off = np.asarray(self.off_diagonal, dtype=float)
-        return np.diag(off, 1) + np.diag(off, -1)
-
-
-def build_hamiltonian(total: int) -> TridiagonalHamiltonian:
-    """Walk generator on the Delta lattice of S photons.
-
-    Couplings are listed along the lattice in ascending order, i.e. entry i
-    couples -S+2i to -S+2i+2.  The global sign of the two-mode hopping
-    Hamiltonian (phase pi gives an overall minus) is dropped: it is
+    Entry i couples -S+2i to -S+2i+2 on both off-diagonals of a symmetric
+    tridiagonal matrix with zero diagonal.  The global sign of the two-mode
+    hopping Hamiltonian (phase pi gives an overall minus) is dropped: it is
     unobservable in every exported probability.
     """
     if total < 0:
         raise RangeError("photon total must be non-negative")
-    offs = tuple(hopping_amplitude(total, d) for d in range(-total + 2, total + 1, 2))
-    return TridiagonalHamiltonian(total, offs)
+    return np.array([hopping_amplitude(total, d) for d in range(-total + 2, total + 1, 2)])
 
 
 # the oracles visit one S at a time; an entry at S = 4000 holds 128 MB
@@ -82,47 +60,22 @@ def _eigensystem(total: int):
     # read-only after insertion; shared across threads
     if total == 0:
         return np.zeros(1), np.ones((1, 1))
-    ham = build_hamiltonian(total)
-    vals, vecs = eigh_tridiagonal(
-        np.zeros(total + 1), np.asarray(ham.off_diagonal, dtype=float)
-    )
+    vals, vecs = eigh_tridiagonal(np.zeros(total + 1), build_hamiltonian(total))
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return vals, vecs
 
 
-@dataclass(frozen=True)
-class AmplitudeVector:
-    """Complex walker amplitudes over the Delta lattice of S photons."""
-
-    total: int
-    amplitudes: Tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.amplitudes) != self.total + 1:
-            raise LatticeError("amplitude vector length must be S+1")
-        norm = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(norm - 1.0) > 1e-9:
-            raise RangeError(f"amplitude vector norm {norm!r} is not 1")
-
-    def lattice(self) -> list:
-        return delta_lattice(self.total)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(np.asarray(self.amplitudes)) ** 2
-
-
-def evolve(pair: FockPair, theta: float) -> AmplitudeVector:
-    """Walker state exp(-i*theta*H)|Delta> via eigendecomposition."""
+def evolve(pair: FockPair, theta: float) -> np.ndarray:
+    """Complex walker amplitudes exp(-i*theta*H)|Delta> over the lattice."""
     vals, vecs = _eigensystem(pair.total)
     start = vecs[(pair.delta + pair.total) // 2, :]
-    amps = vecs @ (np.exp(-1j * theta * vals) * start)
-    return AmplitudeVector(pair.total, tuple(amps))
+    return vecs @ (np.exp(-1j * theta * vals) * start)
 
 
 def evolved_distribution(pair: FockPair, bs: BeamSplitter) -> DeltaDistribution:
     """Output statistics by direct unitary evolution (the ground-truth route)."""
-    return DeltaDistribution(pair.total, evolve(pair, bs.theta).probabilities())
+    return DeltaDistribution(pair.total, np.abs(evolve(pair, bs.theta)) ** 2)
 
 
 def _check_spin_indices(two_s: int, *two_ms: int):
@@ -137,51 +90,6 @@ def _check_spin_indices(two_s: int, *two_ms: int):
 
 def _log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
-
-
-def _wigner_sum(two_s: int, two_m1: int, two_m2: int, beta: float) -> float:
-    """Explicit factorial sum for d^s_{m1,m2}(beta), log-domain magnitudes.
-
-    An independent referee for `wigner_d_column` while the sum's own
-    cancellation stays mild (small spins).
-    """
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    pref = 0.5 * (
-        _log_factorial((two_s + two_m1) // 2)
-        + _log_factorial((two_s - two_m1) // 2)
-        + _log_factorial((two_s + two_m2) // 2)
-        + _log_factorial((two_s - two_m2) // 2)
-    )
-    terms = []
-    for k in range(two_s + 1):
-        e1 = (two_s + two_m2) // 2 - k          # (s + m2 - k)!
-        e2 = (two_m1 - two_m2) // 2 + k         # (m1 - m2 + k)!
-        e3 = (two_s - two_m1) // 2 - k          # (s - m1 - k)!
-        if e1 < 0 or e2 < 0 or e3 < 0:
-            continue
-        ec = two_s + (two_m2 - two_m1) // 2 - 2 * k
-        es = (two_m1 - two_m2) // 2 + 2 * k
-        if (c == 0.0 and ec > 0) or (s == 0.0 and es > 0):
-            continue
-        sign = -1.0 if e2 % 2 else 1.0
-        if c < 0.0 and ec % 2:
-            sign = -sign
-        if s < 0.0 and es % 2:
-            sign = -sign
-        log_mag = (
-            pref
-            - _log_factorial(e1)
-            - _log_factorial(k)
-            - _log_factorial(e2)
-            - _log_factorial(e3)
-        )
-        if ec:
-            log_mag += ec * math.log(abs(c))
-        if es:
-            log_mag += es * math.log(abs(s))
-        terms.append(sign * math.exp(log_mag))
-    return math.fsum(terms)
 
 
 def _edge_seed(two_s: int, two_n: int, c: float, s: float, top: bool):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,19 @@ class TestDecoherence:
         # hand-rounded pi/2 means exactly pi/2
         assert hl.DistinguishabilityAngle(1.5708).y == math.pi / 2
         assert hl.DistinguishabilityAngle(-1e-9).y == 0.0
+
+    @pytest.mark.parametrize(
+        "y", [Fraction("1e400"), -Fraction("1e400"), math.nan, math.inf, 1.5709 + 1e-4, -1e-4]
+    )
+    def test_angle_checked_before_conversion(self, y):
+        # a huge Fraction is out of range, not a float overflow
+        with pytest.raises(hl.RangeError):
+            hl.DistinguishabilityAngle(y)
+
+    def test_rational_angle_snaps_like_its_float(self):
+        assert hl.DistinguishabilityAngle(Fraction(15708, 10000)).y == math.pi / 2
+        assert hl.DistinguishabilityAngle(Fraction(-1, 10**9)).y == 0.0
+        assert hl.DistinguishabilityAngle(Fraction(3, 10)).y == 0.3
 
     def test_normalization_preserved(self):
         for y in (0.2, 0.7, 1.3):
@@ -381,6 +395,14 @@ class TestBinning:
         with pytest.raises(hl.RangeError):
             hl.bin_resolution({0: 1.0}, 0)
 
+    @pytest.mark.parametrize("width", [1.5, 2.0, "2", Fraction(2)])
+    def test_non_integer_width_rejected(self, width):
+        with pytest.raises(hl.RangeError):
+            hl.bin_resolution({0: 1.0}, width)
+
+    def test_numpy_integer_width(self):
+        assert hl.bin_resolution({-5: 0.5, 5: 0.5}, np.int64(10)) == {0: 0.5, 10: 0.5}
+
 
 class TestProduct2D:
     def test_point_masses(self):
@@ -428,6 +450,19 @@ class TestPurity:
             hl.eta_for_purity(5, 0.21)
         with pytest.raises(hl.NoSolution):
             hl.eta_for_purity(3, 1.2)
+
+    @pytest.mark.parametrize("nominal", [2.5, 3.0, "3", None])
+    def test_non_integer_photon_numbers_rejected(self, nominal):
+        with pytest.raises(hl.RangeError):
+            hl.MixedFockSource(nominal, 0.5)
+        with pytest.raises(hl.RangeError):
+            hl.eta_for_purity(nominal, 0.9)
+        with pytest.raises(hl.RangeError):
+            hl.eta_for_joint_purity(2, nominal, 0.9)
+
+    def test_numpy_integer_photon_numbers(self):
+        assert hl.MixedFockSource(np.int64(5), 0.5).weights() == hl.MixedFockSource(5, 0.5).weights()
+        assert hl.eta_for_purity(np.int32(5), 0.83) == hl.eta_for_purity(5, 0.83)
 
     def test_joint_solver(self):
         for (a, b), target in [((5, 5), 0.21), ((3, 7), 0.41), ((0, 10), 0.83)]:

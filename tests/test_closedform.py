@@ -102,32 +102,6 @@ class TestAmplitudeExpansion:
                         assert closed.prob(delta_out) == marginal.get(delta_out, 0)
 
 
-class TestClosedFormTerms:
-    def test_k_range_contract(self):
-        pair = hl.FockPair(8, 2)
-        bs = hl.BeamSplitter(0.3)
-        for delta_out in pair.lattice():
-            ks = [t.k for t in hl.closed_form_terms(pair, bs, delta_out)]
-            lo = max(0, (delta_out - 2) // 2)
-            hi = min((8 - 2) // 2, (8 + delta_out) // 2)
-            assert ks == list(range(lo, hi + 1))
-
-    def test_terms_alternate_in_sign(self):
-        terms = hl.closed_form_terms(hl.FockPair(10, 0), hl.BeamSplitter(0.4), 0)
-        signs = [math.copysign(1, t.value) for t in terms if t.value != 0]
-        assert all(a == -b for a, b in zip(signs, signs[1:]))
-
-    def test_hom_terms_cancel_exactly(self):
-        terms = hl.closed_form_terms(
-            hl.FockPair(2, 0), HALF, 0, hl.RATIONAL
-        )
-        assert sum(t.value for t in terms) == 0
-
-    def test_singular_endpoints_rejected(self):
-        with pytest.raises(hl.RangeError):
-            hl.closed_form_terms(hl.FockPair(2, 0), hl.BeamSplitter(0.0), 0)
-
-
 class TestInvariants:
     @pytest.mark.parametrize("r", [0.0, 0.1, 0.2, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("total", [0, 1, 2, 7, 16, 25, 31, 45, 60])

@@ -63,6 +63,13 @@ class TestMoments:
         for r in (0, 1):
             assert hl.predicted_variance(9, 3, r) == 0
 
+    @pytest.mark.parametrize("r", [5.0, -1, 1.5, math.nan, -math.inf, Fraction(11, 10)])
+    def test_laws_reject_reflectivity_outside_unit_interval(self, r):
+        with pytest.raises(hl.RangeError):
+            hl.predicted_mean(2, 0, r)
+        with pytest.raises(hl.RangeError):
+            hl.predicted_variance(2, 0, r)
+
 
 class TestVisibility:
     def test_equal_fives_at_half(self):
@@ -147,6 +154,15 @@ class TestVisibility:
         assert report.value == above and report.nonclassical
         with pytest.raises(hl.RangeError):
             hl.VisibilityReport(above, False)
+
+    @pytest.mark.parametrize("r", [1.5, -0.25, math.nan, math.inf, Fraction(-1, 3)])
+    def test_reflectivity_outside_unit_interval_rejected(self, r):
+        with pytest.raises(hl.RangeError):
+            hl.visibility_fock(2, 2, r)
+        with pytest.raises(hl.RangeError):
+            hl.visibility_from_moments(1, 1, 1, r)
+        with pytest.raises(hl.RangeError):
+            hl.nonclassical_mask(3, 3, r)
 
     def test_mask_nesting_and_diagonal_prefix(self):
         masks = {r: hl.nonclassical_mask(50, 50, r) for r in (0.36, 0.39, 0.43, 0.45, 0.5)}

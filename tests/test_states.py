@@ -37,6 +37,19 @@ class TestFockPair:
         pair = hl.FockPair.from_modes(*modes)
         assert (pair.total, pair.delta) == (total, delta)
 
+    @pytest.mark.parametrize("total, delta", [(2.5, 0.5), (4.0, 0), (4, 2.0), ("4", 0), (None, 0)])
+    def test_non_integer_photon_numbers_rejected(self, total, delta):
+        with pytest.raises(hl.RangeError):
+            hl.FockPair(total, delta)
+
+    def test_non_integer_modes_rejected(self):
+        with pytest.raises(hl.RangeError):
+            hl.FockPair.from_modes(1.5, 1.5)
+
+    def test_numpy_integers_pass(self):
+        pair = hl.FockPair(np.int64(6), np.int32(-2))
+        assert pair == hl.FockPair(6, -2) and hash(pair) == hash(hl.FockPair(6, -2))
+
     @pytest.mark.parametrize("total", range(0, 13))
     def test_round_trip(self, total):
         for delta in range(-total, total + 1, 2):
@@ -224,3 +237,9 @@ class TestJointAndMarginal:
         marginal = hl.delta_marginal(joint)
         dist = hl.DeltaDistribution.from_mapping(4, marginal)
         assert math.isclose(sum(dist.to_floats()), 1.0, abs_tol=1e-12)
+
+
+def test_public_names_resolve_once():
+    assert len(hl.__all__) == len(set(hl.__all__))
+    for name in hl.__all__:
+        assert getattr(hl, name) is not None, name
