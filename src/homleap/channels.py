@@ -168,7 +168,8 @@ def decohere_distribution(
         # the orthogonal photons split binomially over the ports: each exits
         # the first port with probability 1-r (fixed by the single-photon
         # expansion), and the 1-r split is the r split reversed
-        out += w * np.convolve(_counts(n, fixed, bs, mode), _binomial(rotated - n, r)[::-1])
+        counts = _counts(FockPair.from_modes(n, fixed), bs, mode)
+        out += w * np.convolve(counts, _binomial(rotated - n, r)[::-1])
     return DeltaDistribution(pair.total, out)
 
 
@@ -210,8 +211,8 @@ def mixed_distribution(
             for l, w_l in enumerate(residual_b):
                 if w_k != 0 and w_l != 0:
                     ports = np.arange(k + l + 1)
-                    counts = np.array(_counts(k, l, bs, mode), dtype=grid.dtype)
-                    grid[ports, k + l - ports] += w_k * w_l * counts
+                    counts = _counts(FockPair.from_modes(k, l), bs, mode)
+                    grid[ports, k + l - ports] += w_k * w_l * np.array(counts, dtype=grid.dtype)
         if common != 1:
             thin = _thinning(size, common)
             grid = thin @ grid @ thin.T

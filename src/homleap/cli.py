@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 check failure, 2 validation error.  Output is
 deterministic: floats are serialized with 17 significant digits, sweeps
-are evaluated in grid order on one thread, and every artifact carries a
-manifest whose content hash excludes only the timestamp.  Exact-rational
-runs serialize probabilities as p/q strings.
+are evaluated in grid order on one thread, every CSV export is plain rows
+written by `_csv`, and exact-rational runs serialize probabilities as p/q
+strings.  `figure` writes a manifest beside its CSV and `dist --format json`
+embeds one; `sweep` and CSV `dist` write none.  A manifest's content hash
+is the sha256 of the exported data, so it excludes the timestamp.
 """
 from __future__ import annotations
 
@@ -52,16 +54,14 @@ from .states import (
     FockPair,
     delta_marginal,
 )
-from .walk import evolved_distribution
+from .walk import evolved_distribution, rotation_probabilities
 
 import numpy as np
 
 
 def _fmt(value) -> str:
     """Serialize a probability: 17 significant digits, or exact p/q."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return str(value)
     return format(float(value), ".17g")
 
@@ -130,6 +130,20 @@ def _manifest(command: str, params: dict, mode_name: str, payload: str, argv=Non
     }
 
 
+def _csv(header: list, rows) -> str:
+    """The header and an iterable of rows as one CSV document with bare newline line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _series_rows(series):
+    """Lazy [labels..., delta_out, probability] rows of (labels, validated distribution) pairs."""
+    return ([*labels, d, _fmt(p)] for labels, dist in series for d, p in dist.items())
+
+
 def _write_text(path: str | None, text: str):
     if path:
         Path(path).write_text(text)
@@ -138,15 +152,6 @@ def _write_text(path: str | None, text: str):
 
 
 # ---------------------------------------------------------------- dist
-
-
-def _dist_csv(dist: DeltaDistribution) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["delta_out", "probability"])
-    for delta_out, prob in dist.items():
-        writer.writerow([delta_out, _fmt(prob)])
-    return buf.getvalue()
 
 
 def cmd_dist(args, config) -> int:
@@ -174,7 +179,7 @@ def cmd_dist(args, config) -> int:
         envelope = {"manifest": _manifest("dist", params, mode.kind, body, args.argv), **payload}
         _write_text(args.out, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
     else:
-        _write_text(args.out, _dist_csv(dist))
+        _write_text(args.out, _csv(["delta_out", "probability"], _series_rows([((), dist)])))
     return 0
 
 
@@ -238,18 +243,20 @@ def _sweep_series(param: str, grid: list, args, config, mode):
         raise LeapError(f"unknown sweep parameter {param!r}")
 
 
+def _sweep_rows(series):
+    """[value, delta_out, probability, mean, variance] rows of (grid value, distribution) pairs."""
+    for value, dist in series:
+        mean, var = _fmt(mean_delta(dist)), _fmt(variance_delta(dist))
+        for d, p in dist.items():
+            yield [value, d, _fmt(p), mean, var]
+
+
 def cmd_sweep(args, config) -> int:
     mode = _numeric_mode(_merged(args, config, "mode", "float"))
     param = args.param
     grid = [g.strip() for g in str(_merged(args, config, "grid")).split(",") if g.strip()]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([param, "delta_out", "probability", "mean", "variance"])
-    for value, dist in _sweep_series(param, grid, args, config, mode):
-        mean, var = _fmt(mean_delta(dist)), _fmt(variance_delta(dist))
-        for delta_out, prob in dist.items():
-            writer.writerow([value, delta_out, _fmt(prob), mean, var])
-    _write_text(args.out, buf.getvalue())
+    rows = _sweep_rows(_sweep_series(param, grid, args, config, mode))
+    _write_text(args.out, _csv([param, "delta_out", "probability", "mean", "variance"], rows))
     return 0
 
 
@@ -257,6 +264,8 @@ def cmd_sweep(args, config) -> int:
 
 
 def _check_oracle():
+    # float distribution (the alternating sum up to S = 12) against the
+    # brute-force evolution and the squared eigenvector column
     worst = 0.0
     for total in range(0, 13):
         for r in (0.1, 0.2, 0.5, 0.9):
@@ -265,10 +274,19 @@ def _check_oracle():
                 pair = FockPair(total, delta)
                 closed = distribution(pair, bs).to_floats()
                 evolved = evolved_distribution(pair, bs).to_floats()
-                marginal = delta_marginal(amplitude_expansion(pair.mode_a, pair.mode_b, bs))
-                expanded = [marginal.get(d, 0.0) for d in pair.lattice()]
-                for a, b, c in zip(closed, evolved, expanded):
+                kernel = rotation_probabilities(pair, bs)
+                for a, b, c in zip(closed, evolved, kernel):
                     worst = max(worst, abs(a - b), abs(a - c))
+    # the kernel above the seam against exact rationals on the same r
+    kernel_worst = 0.0
+    for total in (13, 30):
+        for r in (1e-12, 0.37, 1 - 1e-9):
+            for delta in (total % 2, total - 2):
+                pair = FockPair(total, delta)
+                exact = distribution(pair, BeamSplitter.exact(Fraction(r)), RATIONAL).probs
+                kernel = distribution(pair, BeamSplitter(r)).probs
+                for a, b in zip(kernel, exact):
+                    kernel_worst = max(kernel_worst, abs(a - float(b)))
     exact_worst = Fraction(0)
     for total in range(0, 9):
         for r in (Fraction(1, 10), Fraction(1, 2)):
@@ -282,6 +300,7 @@ def _check_oracle():
                 for d in pair.lattice():
                     exact_worst = max(exact_worst, abs(closed.prob(d) - marginal.get(d, Fraction(0))))
     yield "three_way_float", worst, 1e-9
+    yield "kernel_vs_exact", kernel_worst, 1e-13
     yield "closed_vs_expansion_exact", float(exact_worst), 0.0
 
 
@@ -441,25 +460,6 @@ print("wrote {fig_id}.png")
 _FIG2_RS = ("0.1", "0.2", "0.5", "0.9")
 
 
-def _validated_rows(dist, series: dict):
-    """Normalization check before export."""
-    items = list(dist.items()) if isinstance(dist, DeltaDistribution) else sorted(dist.items())
-    mass = math.fsum(float(p) for _, p in items)
-    if abs(mass - 1.0) > 1e-9:
-        raise LeapError(f"series {series} fails normalization: {mass!r}")
-    return items
-
-
-def _series_rows(series, columns: list) -> list:
-    """CSV rows of (series labels, distribution) pairs, validated and serialized."""
-    rows = []
-    for labels, dist in series:
-        named = dict(zip(columns, labels))
-        for delta_out, prob in _validated_rows(dist, named):
-            rows.append({**named, "delta_out": delta_out, "probability": _fmt(prob)})
-    return rows
-
-
 def _pure_family(total: int, delta: int):
     pair = FockPair(total, delta)
     for r_text in _FIG2_RS:
@@ -503,7 +503,11 @@ def _loss_array():
                     yield (delta, target, loss, r_text), _detected(joint, 1.0 - loss)
 
 
+_MASK_COLUMNS = ["panel", "r", "n_max", "n", "m", "visibility", "nonclassical"]
+
+
 def _visibility_regions():
+    """figS4 rows under _MASK_COLUMNS: the visibility of every (n, m) cell per panel."""
     panels = [
         ("a", "0.36", 10),
         ("b", "0.43", 50),
@@ -522,17 +526,7 @@ def _visibility_regions():
                     value_text, flag = _fmt(report.value), report.nonclassical
                 except DegenerateError:
                     value_text, flag = "", False
-                rows.append(
-                    {
-                        "panel": panel,
-                        "r": r_text,
-                        "n_max": n_max,
-                        "n": n,
-                        "m": m,
-                        "visibility": value_text,
-                        "nonclassical": int(flag),
-                    }
-                )
+                rows.append([panel, r_text, n_max, n, m, value_text, int(flag)])
     return rows
 
 
@@ -559,14 +553,10 @@ def cmd_figure(args, config) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     builder, series_cols = _FIGURES[fig_id]
     if fig_id == "figS4":
-        rows, template = builder(), _PLOT_MASK
+        csv_text, template = _csv(_MASK_COLUMNS, builder()), _PLOT_MASK
     else:
-        rows, template = _series_rows(builder(), series_cols), _PLOT_LINES
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    csv_text = buf.getvalue()
+        header = [*series_cols, "delta_out", "probability"]
+        csv_text, template = _csv(header, _series_rows(builder())), _PLOT_LINES
     csv_name = f"{fig_id}.csv"
     (outdir / csv_name).write_text(csv_text)
     manifest = _manifest("figure", {"id": fig_id}, "float", csv_text, args.argv)
@@ -617,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--suite",
         default="all",
-        choices=["oracle", "parity", "moments", "visibility", "decoherence", "all"],
+        choices=[*_SUITES, "all"],
     )
     p_check.add_argument("--config")
     p_check.set_defaults(func=cmd_check)

@@ -108,13 +108,13 @@ def _count_probability(cap_k, cap_l, p, r):
     return bracket * bracket * a**rho_r * c**rho_t * weight
 
 
-def _counts(mode_a: int, mode_b: int, bs: BeamSplitter, mode: NumericMode = FLOAT) -> Sequence:
-    """Lossless P(p) for p = 0..K+L photons leaving by the first port."""
-    total = mode_a + mode_b
-    if mode.is_exact or total <= DIRECT_FLOAT_LIMIT:
+def _counts(pair: FockPair, bs: BeamSplitter, mode: NumericMode = FLOAT) -> Sequence:
+    """Lossless P(p) for p = 0..S photons leaving by the first port."""
+    if mode.is_exact or pair.total <= DIRECT_FLOAT_LIMIT:
         r = bs.value(exact=True) if mode.is_exact else float(bs.reflectivity)
-        return [_count_probability(mode_a, mode_b, p, r) for p in range(total + 1)]
-    return walk.rotation_probabilities(FockPair(total, mode_a - mode_b), bs)
+        mode_a, mode_b = pair.mode_a, pair.mode_b
+        return [_count_probability(mode_a, mode_b, p, r) for p in range(pair.total + 1)]
+    return walk.rotation_probabilities(pair, bs)
 
 
 def prob_delta_out(
@@ -152,7 +152,7 @@ def distribution(
     if mode.is_exact:
         probs = [_closed_form(total, delta, d, r) for d in pair.lattice()]
     else:
-        probs = _counts(pair.mode_a, pair.mode_b, bs)
+        probs = _counts(pair, bs)
     return DeltaDistribution(total, probs)
 
 
@@ -169,6 +169,6 @@ def amplitude_expansion(
     """
     if mode_a < 0 or mode_b < 0:
         raise LatticeError("mode occupations must be non-negative")
-    total = mode_a + mode_b
-    probs = _counts(mode_a, mode_b, bs, mode)
-    return JointCountDistribution({(p, total - p): prob for p, prob in enumerate(probs)})
+    pair = FockPair.from_modes(mode_a, mode_b)
+    probs = _counts(pair, bs, mode)
+    return JointCountDistribution({(p, pair.total - p): prob for p, prob in enumerate(probs)})

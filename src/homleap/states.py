@@ -261,11 +261,18 @@ class JointCountDistribution:
 
     def __post_init__(self):
         probs = _checked(list(self.entries.values()), "joint count distribution")
-        entries = {}
-        for (p, q), prob in zip(self.entries, probs):
-            if p < 0 or q < 0:
-                raise RangeError(f"negative count pair {(p, q)}")
-            entries[(int(p), int(q))] = prob
+        # p and q columns as one integer array (faster to build than rows),
+        # stored as Python ints, so no two keys merge and no mass is lost
+        keys = list(self.entries)
+        try:  # strict zip: keys of unequal length raise ValueError, scalars TypeError
+            pairs = np.array(list(zip(*keys, strict=True)))
+            integer = pairs.dtype.kind in "iu" and pairs.shape == (2, len(keys))
+        except (TypeError, ValueError):
+            integer = False
+        if not integer or pairs.min() < 0:
+            raise RangeError("count keys must be (p, q) pairs of non-negative 64-bit integers")
+        ps, qs = pairs.tolist()
+        entries = dict(zip(zip(ps, qs), probs))
         object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def probability(self, p: int, q: int):

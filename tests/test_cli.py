@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, determinism."""
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -292,6 +293,16 @@ class TestCheck:
         assert code == 0
         assert "three_way_float" in out
 
+    def test_oracle_suite_runs_the_kernel(self, capsys, monkeypatch):
+        columns = []
+        kernel = hl.walk.wigner_d_column
+        monkeypatch.setattr(hl.walk, "wigner_d_column", lambda *a: columns.append(a) or kernel(*a))
+        hl.walk._wigner_column_cached.cache_clear()
+        code, out, _ = run_cli(capsys, "check", "--suite", "oracle")
+        assert code == 0
+        assert "ok oracle.kernel_vs_exact" in out
+        assert any(two_s > hl.closedform.DIRECT_FLOAT_LIMIT for two_s, _, _ in columns)
+
 
 class TestFigure:
     def test_writes_data_manifest_and_script(self, capsys, tmp_path):
@@ -337,3 +348,35 @@ class TestFigure:
         panel_e = [r for r in rows if r["panel"] == "e"]
         diag = {int(r["n"]): r["nonclassical"] == "1" for r in panel_e if r["n"] == r["m"]}
         assert all(diag[n] for n in range(1, 11))
+
+
+class TestGoldenBytes:
+    """sha256 of exports whose bytes no platform changes: exact rationals and
+    plain IEEE arithmetic, never a LAPACK-built column."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("dist --s 4 --delta 2 --r 1/5 --mode rational",
+             "882c3fbab96c27de19e4243a6d36e6d4455e1a5a350f4a004c57f0ba4f13fe71"),
+            ("sweep --param r --grid 0,1/10,1/2,9/10,1 --s 8 --delta 2 --mode rational",
+             "1a7afe90a5ae50e716eee310e7eaa5e9a70e6fc46c358694ae3a5b8264280f2e"),
+            ("sweep --param y --grid 0,1.5707963267948966,0 --s 6 --n 2 --r 1/3 --mode rational",
+             "b804edfd34fbe0ebadc002915080086b40746a194db69d4e560ef85530eb61d5"),
+            ("sweep --param eta --grid 1,9/10,1/2 --k 3 --l 2 --r 1/4 --mode rational",
+             "3683746b09b947f68c05281f427708766fa6a237a884bbd72dc46c2d6a24ce82"),
+            ("sweep --param eta_det --grid 1,4/5,1/3 --s 6 --delta 0 --r 1/2 --mode rational",
+             "a3a1fe6d8d89b07ed6aebf2075390685f206241080403ce30280ee1571a9b7aa"),
+        ],
+        ids=["dist", "sweep_r", "sweep_y", "sweep_eta", "sweep_eta_det"],
+    )
+    def test_rational_stdout(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_figS4_csv(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "figure", "--id", "figS4", "--outdir", str(tmp_path))
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "figS4.csv").read_bytes()).hexdigest()
+        assert digest == "a741927941b0f9f3a89caa7827968e8caab545e2b9289f3f5cde6dd45fed0242"

@@ -208,6 +208,28 @@ class TestJointAndMarginal:
         with pytest.raises(hl.RangeError):
             hl.JointCountDistribution({(1, 0): 0.8})
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(1.5, 0): 0.5, (1, 0): 0.5},  # int() would merge the keys and drop half the mass
+            {(1.0, 0): 1.0},
+            {(Fraction(1), 0): 1.0},
+            {(1, 0, 0): 1.0},
+            {1: 1.0},
+            {(1, 0): 0.5, (2,): 0.5},
+            {(1, 0, 0): 0.5, (2, 0): 0.5},
+        ],
+        ids=["merging_float", "integral_float", "fraction", "triple", "scalar", "ragged", "unequal"],
+    )
+    def test_count_keys_must_be_integer_pairs(self, entries):
+        with pytest.raises(hl.RangeError):
+            hl.JointCountDistribution(entries)
+
+    def test_numpy_integer_keys_stored_as_python_ints(self):
+        joint = hl.JointCountDistribution({(np.int64(1), np.uint8(0)): 0.5, (0, 1): 0.5})
+        assert dict(joint.entries) == {(1, 0): 0.5, (0, 1): 0.5}
+        assert all(type(n) is int for key in joint.entries for n in key)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
         with pytest.raises(hl.RangeError):
