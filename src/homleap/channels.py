@@ -17,6 +17,11 @@ eta = m rho are thinned by rho before the splitter and by m after it, as
 B_m M B_m^T on the dense (p, q) count array M.  The float path takes m as the
 largest eta of the non-vacuum sources (a vacuum source's eta changes nothing),
 so only the other source is mixed; exact mode mixes every input count pair.
+
+The lossy channels work on that dense array and return the cells they keep
+as the p, q and probability arrays of a `JointCountDistribution`
+(`from_arrays`); `apply_detector_loss` scatters those arrays back into its
+grid, so no per-entry dict is built between stages.
 """
 from __future__ import annotations
 
@@ -70,12 +75,6 @@ def _thinning(size: int, eta, dtype=float) -> np.ndarray:
         table[:, j] = (1 - eta) * table[:, j - 1]
         table[1:, j] += eta * table[:-1, j - 1]
     return table
-
-
-def _joint(grid: np.ndarray, keep: np.ndarray) -> JointCountDistribution:
-    """The dense (p, q) array as a count map over the cells where keep holds."""
-    ps, qs = np.nonzero(keep)
-    return JointCountDistribution(dict(zip(zip(ps.tolist(), qs.tolist()), grid[ps, qs].tolist())))
 
 
 @dataclass(frozen=True)
@@ -216,9 +215,11 @@ def mixed_distribution(
         if common != 1:
             thin = _thinning(size, common)
             grid = thin @ grid @ thin.T
-    reached = np.flatnonzero(np.convolve(*(np.array(src.weights()) != 0 for src in sources)))
+    # which totals p + q some pair of input counts reaches, up to p + q = 2 * size
+    reached = np.pad(np.convolve(*(np.array(src.weights()) != 0 for src in sources)), (0, size))
     counts = np.arange(size + 1)
-    return _joint(grid, np.isin(np.add.outer(counts, counts), reached))
+    ps, qs = np.nonzero(reached[np.add.outer(counts, counts)])
+    return JointCountDistribution.from_arrays(ps, qs, grid[ps, qs])
 
 
 def apply_detector_loss(
@@ -232,13 +233,15 @@ def apply_detector_loss(
     eff = det.efficiency
     if eff == 1.0:
         return joint
-    exact = all(isinstance(v, (int, Fraction)) for v in (eff, *joint.entries.values()))
-    size = max(max(key) for key in joint.entries)
+    # only an exact joint holds an object array
+    exact = joint.probs.dtype == object and isinstance(eff, (int, Fraction))
+    size = int(max(joint.ps.max(), joint.qs.max()))
     grid = np.zeros((size + 1, size + 1), dtype=object if exact else float)
-    grid[tuple(zip(*joint.entries))] = list(joint.entries.values())
+    grid[joint.ps, joint.qs] = joint.probs
     thin = _thinning(size, eff if exact else float(eff), grid.dtype)
     below = np.logical_or.accumulate(np.logical_or.accumulate(grid[::-1, ::-1] != 0), axis=1)
-    return _joint(thin @ grid @ thin.T, below[::-1, ::-1])
+    ps, qs = np.nonzero(below[::-1, ::-1])
+    return JointCountDistribution.from_arrays(ps, qs, (thin @ grid @ thin.T)[ps, qs])
 
 
 def bin_resolution(marginal: Mapping[int, float], width: int) -> Dict[int, float]:
@@ -273,11 +276,11 @@ def product_2d(dist_h, dist_v) -> Dict[Tuple[int, int], float]:
 
 def purity(src: MixedFockSource):
     """Tr rho^2 of the degraded source: sum of squared weights."""
-    return sum(w * w for w in src.weights())
+    return _purity_of(src.nominal, src.eta)
 
 
-def _purity_of(nominal: int, eta: float) -> float:
-    return purity(MixedFockSource(nominal, eta))
+def _purity_of(nominal: int, eta):
+    return sum(w * w for w in _binomial(nominal, eta))
 
 
 def _bisect(increasing, target: float) -> float:

@@ -21,6 +21,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
+import numpy as np
+
 from .errors import LatticeError
 from .states import (
     FLOAT,
@@ -170,5 +172,5 @@ def amplitude_expansion(
     if mode_a < 0 or mode_b < 0:
         raise LatticeError("mode occupations must be non-negative")
     pair = FockPair.from_modes(mode_a, mode_b)
-    probs = _counts(pair, bs, mode)
-    return JointCountDistribution({(p, pair.total - p): prob for p, prob in enumerate(probs)})
+    ps = np.arange(pair.total + 1)
+    return JointCountDistribution.from_arrays(ps, pair.total - ps, _counts(pair, bs, mode))

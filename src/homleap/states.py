@@ -8,8 +8,10 @@ as literal nonzero entries instead of missing keys.
 
 Both value types validate their probabilities once, on construction, in
 `_checked`: producers hand over their arrays or lists as they are, a float
-array is flushed and checked as one array, and the stored values are tuples
-of Python numbers (`probs`) or a read-only mapping (`entries`).
+array is flushed and checked as one array.  A `DeltaDistribution` stores a
+tuple of Python numbers (`probs`).  A `JointCountDistribution` stores three
+1-D arrays (p, q and probability), which the channels hand from one stage to
+the next; its read-only mapping (`entries`) is built on first access.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Mapping, Tuple, Union
 
@@ -172,20 +175,21 @@ FLOAT = NumericMode("float")
 RATIONAL = NumericMode("rational")
 
 
-def _checked(values, what: str) -> tuple:
-    """The entries of a probability vector, validated, as a tuple.
+def _checked(values, what: str) -> np.ndarray:
+    """The entries of a probability vector, validated, as a new 1-D array.
 
-    Entries that are all int or Fraction are exact: none is flushed and they
-    must sum to exactly 1.  Anything else is checked as one float64 array:
-    entries below DENORMAL_FLOOR become 0.0, and the rest must be finite and
-    non-negative with |sum - 1| <= NORMALIZATION_TOL.
+    Entries that are all int or Fraction are exact: none is flushed, they
+    must sum to exactly 1, and they are kept as they are in an object array.
+    Anything else is checked as one float64 array: entries below
+    DENORMAL_FLOOR become 0.0, and the rest must be finite and non-negative
+    with |sum - 1| <= NORMALIZATION_TOL.
     """
     if all(isinstance(v, (int, Fraction)) for v in values):
         if any(v < 0 for v in values):
             raise RangeError(f"{what} contains negative probabilities")
         if sum(values) != 1:
             raise RangeError(f"{what} does not sum to 1 exactly (got {sum(values)})")
-        return tuple(values)
+        return np.array(values, dtype=object)
     values = np.asarray(values, dtype=float)
     values = np.where(np.abs(values) < DENORMAL_FLOOR, 0.0, values)
     total = float(values.sum())
@@ -193,7 +197,7 @@ def _checked(values, what: str) -> tuple:
         raise RangeError(f"{what} contains negative or non-finite probabilities")
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise RangeError(f"{what} sums to {total!r}, outside tolerance {NORMALIZATION_TOL}")
-    return tuple(values.tolist())
+    return values
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,7 @@ class DeltaDistribution:
             raise LatticeError(
                 f"expected {self.total + 1} lattice entries, got {len(self.probs)}"
             )
-        object.__setattr__(self, "probs", _checked(self.probs, "distribution"))
+        object.__setattr__(self, "probs", tuple(_checked(self.probs, "distribution").tolist()))
 
     @classmethod
     def from_mapping(cls, total: int, mapping: Mapping[int, Number]) -> "DeltaDistribution":
@@ -249,31 +253,63 @@ class DeltaDistribution:
         return [float(p) for p in self.probs]
 
 
-@dataclass(frozen=True)
+_COUNT_KEYS = "count keys must be (p, q) pairs of non-negative 64-bit integers"
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class JointCountDistribution:
-    """Probability map over output count pairs (p, q).
+    """Probability over output count pairs (p, q), held as three 1-D arrays.
 
     Needed once losses make the total photon number vary; for a lossless
-    fixed-S process every supported pair satisfies p + q = S.
+    fixed-S process every supported pair satisfies p + q = S.  Entry i is
+    (ps[i], qs[i]) -> probs[i]: int64 counts, and float64 probabilities or,
+    in an exact joint, an object array of ints and Fractions.  Built from a
+    {(p, q): probability} map or `from_arrays`, both validated in
+    `__post_init__`; equal when the entries are, in any order; not hashable.
     """
 
-    entries: Mapping[Tuple[int, int], Number]
+    ps: np.ndarray
+    qs: np.ndarray
+    probs: np.ndarray
 
-    def __post_init__(self):
-        probs = _checked(list(self.entries.values()), "joint count distribution")
-        # p and q columns as one integer array (faster to build than rows),
-        # stored as Python ints, so no two keys merge and no mass is lost
-        keys = list(self.entries)
+    def __init__(self, entries: Mapping[Tuple[int, int], Number]):
         try:  # strict zip: keys of unequal length raise ValueError, scalars TypeError
-            pairs = np.array(list(zip(*keys, strict=True)))
-            integer = pairs.dtype.kind in "iu" and pairs.shape == (2, len(keys))
-        except (TypeError, ValueError):
-            integer = False
-        if not integer or pairs.min() < 0:
-            raise RangeError("count keys must be (p, q) pairs of non-negative 64-bit integers")
-        ps, qs = pairs.tolist()
-        entries = dict(zip(zip(ps, qs), probs))
-        object.__setattr__(self, "entries", MappingProxyType(entries))
+            ps, qs = np.array(list(zip(*entries, strict=True)))
+        except (TypeError, ValueError):  # also keys that are not pairs
+            raise RangeError(_COUNT_KEYS) from None
+        self.__post_init__(ps, qs, list(entries.values()))
+
+    @classmethod
+    def from_arrays(cls, ps, qs, probs) -> "JointCountDistribution":
+        """The joint of entries (ps[i], qs[i]) -> probs[i], in that order."""
+        joint = cls.__new__(cls)
+        joint.__post_init__(ps, qs, probs)
+        return joint
+
+    def __post_init__(self, ps, qs, probs):
+        probs = _checked(probs, "joint count distribution")
+        ps, qs = np.asarray(ps), np.asarray(qs)
+        one_per_entry = ps.shape == qs.shape == probs.shape == (probs.size,)
+        if {ps.dtype.kind, qs.dtype.kind} - set("iu") or not one_per_entry:
+            raise RangeError(_COUNT_KEYS)
+        # int64 copies: uint64 counts of 2**63 and above wrap negative and are rejected
+        ps, qs = ps.astype(np.int64), qs.astype(np.int64)
+        if min(ps.min(), qs.min()) < 0:
+            raise RangeError(_COUNT_KEYS)
+        for name, array in (("ps", ps), ("qs", qs), ("probs", probs)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @cached_property
+    def entries(self) -> Mapping[Tuple[int, int], Number]:
+        """{(p, q): probability} in stored order, as Python numbers; read-only."""
+        pairs = zip(self.ps.tolist(), self.qs.tolist())
+        return MappingProxyType(dict(zip(pairs, self.probs.tolist())))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
 
     def probability(self, p: int, q: int):
         return self.entries.get((p, q), 0)
@@ -283,9 +319,13 @@ class JointCountDistribution:
 
 
 def delta_marginal(joint: JointCountDistribution) -> Dict[int, Number]:
-    """Marginal over Delta_out = p - q, accumulated in deterministic order."""
-    out: Dict[int, Number] = {}
-    for (p, q), prob in joint.items():
-        key = p - q
-        out[key] = out.get(key, 0) + prob
-    return dict(sorted(out.items()))
+    """Marginal over Delta_out = p - q, keyed in increasing order.
+
+    Each Delta_out sums its entries one after another in increasing p (the
+    row-major order of the (p, q) grid), whatever order they were given in.
+    """
+    order = np.argsort(joint.ps, kind="stable")
+    keys, bins = np.unique((joint.ps - joint.qs)[order], return_inverse=True)
+    sums = np.zeros(keys.size, dtype=joint.probs.dtype)
+    np.add.at(sums, bins, joint.probs[order])
+    return dict(zip(keys.tolist(), sums.tolist()))
