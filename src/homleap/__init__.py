@@ -39,7 +39,6 @@ from .walk import (
     build_hamiltonian,
     evolve,
     evolved_distribution,
-    hopping_amplitude,
     rotation_probabilities,
     wigner_d,
     wigner_d_column,
@@ -49,13 +48,11 @@ from .channels import (
     DistinguishabilityAngle,
     MixedFockSource,
     apply_detector_loss,
-    bin_resolution,
     classical_reference,
     decohere_distribution,
     eta_for_joint_purity,
     eta_for_purity,
     mixed_distribution,
-    product_2d,
     purity,
 )
 from .metrics import (
@@ -96,7 +93,6 @@ __all__ = [
     "VisibilityReport",
     "amplitude_expansion",
     "apply_detector_loss",
-    "bin_resolution",
     "build_hamiltonian",
     "classical_reference",
     "decohere_distribution",
@@ -107,7 +103,6 @@ __all__ = [
     "eta_for_purity",
     "evolve",
     "evolved_distribution",
-    "hopping_amplitude",
     "mean_delta",
     "mixed_distribution",
     "nonclassical_mask",
@@ -115,7 +110,6 @@ __all__ = [
     "predicted_mean",
     "predicted_variance",
     "prob_delta_out",
-    "product_2d",
     "purity",
     "rotation_probabilities",
     "transfer_fidelity",

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -167,7 +166,7 @@ def decohere_distribution(
         # the orthogonal photons split binomially over the ports: each exits
         # the first port with probability 1-r (fixed by the single-photon
         # expansion), and the 1-r split is the r split reversed
-        counts = _counts(FockPair.from_modes(n, fixed), bs, mode)
+        counts = _counts(n, fixed, bs, mode)
         out += w * np.convolve(counts, _binomial(rotated - n, r)[::-1])
     return DeltaDistribution(pair.total, out)
 
@@ -210,7 +209,7 @@ def mixed_distribution(
             for l, w_l in enumerate(residual_b):
                 if w_k != 0 and w_l != 0:
                     ports = np.arange(k + l + 1)
-                    counts = _counts(FockPair.from_modes(k, l), bs, mode)
+                    counts = _counts(k, l, bs, mode)
                     grid[ports, k + l - ports] += w_k * w_l * np.array(counts, dtype=grid.dtype)
         if common != 1:
             thin = _thinning(size, common)
@@ -242,36 +241,6 @@ def apply_detector_loss(
     below = np.logical_or.accumulate(np.logical_or.accumulate(grid[::-1, ::-1] != 0), axis=1)
     ps, qs = np.nonzero(below[::-1, ::-1])
     return JointCountDistribution.from_arrays(ps, qs, (thin @ grid @ thin.T)[ps, qs])
-
-
-def bin_resolution(marginal: Mapping[int, float], width: int) -> Dict[int, float]:
-    """Aggregate a Delta_out marginal into contiguous bins of fixed width.
-
-    The zero-containing bin is centered on 0 and keys are bin centers;
-    ties at bin edges go to the higher bin.  Width below the lattice step
-    acts as the identity.
-    """
-    width = _integer(width, "bin width")
-    if width < 1:
-        raise RangeError("bin width must be a positive integer")
-    if width < 2:
-        return dict(sorted(marginal.items()))
-    out: Dict[int, float] = {}
-    for delta_out, prob in sorted(marginal.items()):
-        center = ((2 * delta_out + width) // (2 * width)) * width
-        out[center] = out.get(center, 0) + prob
-    return dict(sorted(out.items()))
-
-
-def product_2d(dist_h, dist_v) -> Dict[Tuple[int, int], float]:
-    """Outer product of two independent direction marginals."""
-    items_h = dist_h.items() if hasattr(dist_h, "items") else dist_h
-    items_v = list(dist_v.items() if hasattr(dist_v, "items") else dist_v)
-    out: Dict[Tuple[int, int], float] = {}
-    for dh, ph in items_h:
-        for dv, pv in items_v:
-            out[(dh, dv)] = ph * pv
-    return out
 
 
 def purity(src: MixedFockSource):

@@ -274,7 +274,7 @@ def _check_oracle():
                 pair = FockPair(total, delta)
                 closed = distribution(pair, bs).to_floats()
                 evolved = evolved_distribution(pair, bs).to_floats()
-                kernel = rotation_probabilities(pair, bs)
+                kernel = rotation_probabilities(total, delta, 2.0 * bs.theta)
                 for a, b, c in zip(closed, evolved, kernel):
                     worst = max(worst, abs(a - b), abs(a - c))
     # the kernel above the seam against exact rationals on the same r

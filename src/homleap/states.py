@@ -216,23 +216,6 @@ class DeltaDistribution:
             )
         object.__setattr__(self, "probs", tuple(_checked(self.probs, "distribution").tolist()))
 
-    @classmethod
-    def from_mapping(cls, total: int, mapping: Mapping[int, Number]) -> "DeltaDistribution":
-        """Embed a Delta_out -> probability map onto the dense S-lattice.
-
-        Off-lattice keys may only carry zero mass.
-        """
-        probs = [0] * (total + 1)
-        for delta_out, prob in mapping.items():
-            if abs(delta_out) > total or (total - delta_out) % 2 != 0:
-                if prob != 0:
-                    raise LatticeError(
-                        f"nonzero mass {prob!r} at off-lattice position {delta_out}"
-                    )
-                continue
-            probs[(delta_out + total) // 2] = prob
-        return cls(total, probs)
-
     def lattice(self) -> list:
         return delta_lattice(self.total)
 
@@ -245,9 +228,6 @@ class DeltaDistribution:
     def items(self):
         for i, p in enumerate(self.probs):
             yield -self.total + 2 * i, p
-
-    def as_dict(self) -> Dict[int, Number]:
-        return dict(self.items())
 
     def to_floats(self):
         return [float(p) for p in self.probs]
@@ -286,6 +266,10 @@ class JointCountDistribution:
         joint.__post_init__(ps, qs, probs)
         return joint
 
+    def __reduce__(self):
+        # rebuilt and validated again from the arrays, not from a cached `entries`
+        return self.from_arrays, (self.ps, self.qs, self.probs)
+
     def __post_init__(self, ps, qs, probs):
         probs = _checked(probs, "joint count distribution")
         ps, qs = np.asarray(ps), np.asarray(qs)
@@ -313,9 +297,6 @@ class JointCountDistribution:
 
     def probability(self, p: int, q: int):
         return self.entries.get((p, q), 0)
-
-    def items(self):
-        return sorted(self.entries.items())
 
 
 def delta_marginal(joint: JointCountDistribution) -> Dict[int, Number]:

@@ -24,34 +24,25 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
 
-from .errors import DomainError, LatticeError, RangeError
-from .states import BeamSplitter, DeltaDistribution, FockPair
-
-
-def hopping_amplitude(total: int, delta: int) -> float:
-    """Hopping amplitude on the lattice edge between delta and delta-2.
-
-    Equals sqrt((S+Delta)(S-Delta+2))/2 and is symmetric in its two site
-    labels.  The edge exists for Delta >= -S+2.
-    """
-    if abs(delta) > total or (total - delta) % 2 != 0:
-        raise LatticeError(f"position {delta} is off the lattice of S={total}")
-    if delta < -total + 2:
-        raise LatticeError(f"no edge below {-total + 2} for S={total}")
-    return 0.5 * math.sqrt((total + delta) * (total - delta + 2))
+from .errors import DomainError, RangeError
+from .states import BeamSplitter, DeltaDistribution, FockPair, _integer
 
 
 def build_hamiltonian(total: int) -> np.ndarray:
     """Couplings of the walk generator on the Delta lattice of S photons.
 
-    Entry i couples -S+2i to -S+2i+2 on both off-diagonals of a symmetric
-    tridiagonal matrix with zero diagonal.  The global sign of the two-mode
-    hopping Hamiltonian (phase pi gives an overall minus) is dropped: it is
-    unobservable in every exported probability.
+    Entry i, sqrt((S+d)(S-d+2))/2 at d = -S+2i+2, couples d-2 to d on both
+    off-diagonals of a symmetric tridiagonal matrix with zero diagonal; it
+    is symmetric in the two site labels, so the array is a palindrome.  The
+    global sign of the two-mode hopping Hamiltonian (phase pi gives an
+    overall minus) is dropped: it is unobservable in every exported
+    probability.
     """
+    total = _integer(total, "photon total")
     if total < 0:
         raise RangeError("photon total must be non-negative")
-    return np.array([hopping_amplitude(total, d) for d in range(-total + 2, total + 1, 2)])
+    d = np.arange(-total + 2, total + 1, 2)
+    return 0.5 * np.sqrt((total + d) * (total - d + 2))
 
 
 # the oracles visit one S at a time; an entry at S = 4000 holds 128 MB
@@ -190,13 +181,12 @@ def _wigner_column_cached(two_s: int, two_m2: int, beta: float):
     return col
 
 
-def rotation_probabilities(pair: FockPair, bs: BeamSplitter) -> np.ndarray:
-    """|transition amplitude|^2 over the lattice via the Wigner route.
+def rotation_probabilities(total: int, delta: int, beta: float) -> np.ndarray:
+    """Squared cached `wigner_d_column(total, delta, beta)`: 2s = S, 2m2 = Delta.
 
-    Identical statistics to evolved_distribution, from one cached
-    eigenvector column; this is the large-S float path of the closed-form
-    module.
+    At beta = 2*theta of a beam splitter these are the statistics of
+    `evolved_distribution`; this is the large-S float path of the
+    closed-form module.
     """
-    alpha = 2.0 * bs.theta
-    col = _wigner_column_cached(pair.total, pair.delta, alpha)
+    col = _wigner_column_cached(total, delta, beta)
     return col * col

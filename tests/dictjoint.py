@@ -39,7 +39,7 @@ def joint(grid: np.ndarray, keep: np.ndarray) -> dict:
 
 def amplitude_expansion(mode_a, mode_b, bs, mode) -> dict:
     pair = FockPair.from_modes(mode_a, mode_b)
-    probs = _counts(pair, bs, mode)
+    probs = _counts(mode_a, mode_b, bs, mode)
     entries = {(p, pair.total - p): prob for p, prob in enumerate(probs)}
     return dict(zip(entries, checked(list(entries.values()))))
 
@@ -57,7 +57,7 @@ def mixed_distribution(src_a, src_b, bs, mode) -> dict:
             for l, w_l in enumerate(residual_b):
                 if w_k != 0 and w_l != 0:
                     ports = np.arange(k + l + 1)
-                    counts = _counts(FockPair.from_modes(k, l), bs, mode)
+                    counts = _counts(k, l, bs, mode)
                     grid[ports, k + l - ports] += w_k * w_l * np.array(counts, dtype=grid.dtype)
         if common != 1:
             thin = _thinning(size, common)

@@ -1,4 +1,4 @@
-"""Distinguishability, mixed sources, detector loss, binning, 2-D products."""
+"""Distinguishability, mixed sources, detector loss and the purity solver."""
 import math
 import random
 from fractions import Fraction
@@ -22,7 +22,7 @@ def max_abs_gap(got, exact):
 def literal_thinning(joint, eff):
     """Binomial thinning summed term by term over every kept count pair."""
     out = {}
-    for (p, q), prob in joint.items():
+    for (p, q), prob in joint.entries.items():
         for i in range(p + 1):
             for j in range(q + 1):
                 thin = comb(p, i) * eff**i * (1 - eff) ** (p - i)
@@ -207,7 +207,7 @@ class TestMixedSources:
             hl.MixedFockSource(3, 1.0), hl.MixedFockSource(2, 1.0), bs
         )
         direct = hl.amplitude_expansion(3, 2, bs)
-        for key, prob in direct.items():
+        for key, prob in direct.entries.items():
             assert math.isclose(joint.probability(*key), prob, abs_tol=1e-14)
 
     def test_hand_enumerated_table(self):
@@ -368,65 +368,25 @@ class TestDetectorLoss:
             hl.Detector(efficiency=1.2)
 
 
-class TestBinning:
-    def test_width_one_is_identity(self):
-        marginal = {-2: 0.5, 2: 0.5}
-        assert hl.bin_resolution(marginal, 1) == marginal
+class TestKernelArguments:
+    def test_no_fock_pair_per_term(self, monkeypatch):
+        bs = hl.BeamSplitter(0.4)
+        pair = hl.FockPair.from_modes(20, 5)
+        built = []
+        check = hl.FockPair.__post_init__
 
-    def test_central_bin_collects_small_deltas(self):
-        assert hl.bin_resolution({-2: 0.5, 2: 0.5}, 10) == {0: 1.0}
+        def counted(self):
+            built.append((self.total, self.delta))
+            check(self)
 
-    def test_ties_go_to_higher_bin(self):
-        assert hl.bin_resolution({-5: 0.5, 5: 0.5}, 10) == {0: 0.5, 10: 0.5}
-
-    def test_width_two_identity_on_even_lattice(self):
-        marginal = {-2: 0.25, 0: 0.5, 2: 0.25}
-        assert hl.bin_resolution(marginal, 2) == marginal
-
-    def test_s50_u_shape_survives_comb_erased(self):
-        dist = hl.distribution(hl.FockPair(50, 0), hl.BeamSplitter(0.5))
-        binned = hl.bin_resolution(dist.as_dict(), 20)
-        assert math.isclose(sum(binned.values()), 1.0, abs_tol=1e-12)
-        # outer bins beat the central bin: the U shape survives binning
-        assert binned[40] > binned[0] and binned[-40] > binned[0]
-        assert len(binned) < len(dist.probs)
-
-    def test_invalid_width(self):
-        with pytest.raises(hl.RangeError):
-            hl.bin_resolution({0: 1.0}, 0)
-
-    @pytest.mark.parametrize("width", [1.5, 2.0, "2", Fraction(2)])
-    def test_non_integer_width_rejected(self, width):
-        with pytest.raises(hl.RangeError):
-            hl.bin_resolution({0: 1.0}, width)
-
-    def test_numpy_integer_width(self):
-        assert hl.bin_resolution({-5: 0.5, 5: 0.5}, np.int64(10)) == {0: 0.5, 10: 0.5}
-
-
-class TestProduct2D:
-    def test_point_masses(self):
-        dh = {3: 1.0}
-        dv = {-1: 1.0}
-        assert hl.product_2d(dh, dv) == {(3, -1): 1.0}
-
-    def test_two_hom_pairs(self):
-        bs = hl.BeamSplitter.exact(Fraction(1, 2))
-        d = hl.distribution(hl.FockPair(2, 0), bs, hl.RATIONAL)
-        grid = hl.product_2d(d, d)
-        for cell in ((2, 2), (2, -2), (-2, 2), (-2, -2)):
-            assert grid[cell] == Fraction(1, 4)
-        assert grid[(0, 0)] == 0
-
-    def test_marginals_equal_inputs_exactly(self):
-        bs = hl.BeamSplitter.exact("1/5")
-        dh = hl.distribution(hl.FockPair(10, 0), hl.BeamSplitter.exact("1/2"), hl.RATIONAL)
-        dv = hl.distribution(hl.FockPair(10, -4), bs, hl.RATIONAL)
-        grid = hl.product_2d(dh, dv)
-        marginal_h = {}
-        for (x, _y), prob in grid.items():
-            marginal_h[x] = marginal_h.get(x, 0) + prob
-        assert marginal_h == dh.as_dict()
+        monkeypatch.setattr(hl.FockPair, "__post_init__", counted)
+        hl.decohere_distribution(pair, hl.DistinguishabilityAngle(0.7), bs)
+        hl.mixed_distribution(hl.MixedFockSource(12, 0.8), hl.MixedFockSource(9, 0.6), bs)
+        hl.amplitude_expansion(20, 5, bs)
+        hl.amplitude_expansion(3, 2, hl.BeamSplitter.exact("2/5"), hl.RATIONAL)
+        assert built == []
+        hl.FockPair(2, 0)  # the patch does count constructions
+        assert built == [(2, 0)]
 
 
 class TestPurity:

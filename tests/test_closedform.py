@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ class TestPinnedValues:
 
     def test_hom_bunching_distribution(self):
         dist = hl.distribution(hl.FockPair(2, 0), HALF, hl.RATIONAL)
-        assert dist.as_dict() == {-2: Fraction(1, 2), 0: 0, 2: Fraction(1, 2)}
+        assert dict(dist.items()) == {-2: Fraction(1, 2), 0: 0, 2: Fraction(1, 2)}
 
     @pytest.mark.parametrize("total,delta", [(2, 0), (5, 3), (10, -4), (7, 7)])
     def test_r_zero_is_identity(self, total, delta):
@@ -37,7 +38,7 @@ class TestPinnedValues:
     def test_pair_3_1_fifth_reflectivity(self):
         # frozen from the tridiagonal-exponential oracle; exact rationals
         dist = hl.distribution(hl.FockPair(3, 1), hl.BeamSplitter.exact("1/5"), hl.RATIONAL)
-        assert dist.as_dict() == {
+        assert dict(dist.items()) == {
             -3: Fraction(12, 125),
             -1: Fraction(49, 125),
             1: Fraction(16, 125),
@@ -87,6 +88,20 @@ class TestAmplitudeExpansion:
         for p in range(total + 1):
             expected = math.comb(total, p) * r**p * (1 - r) ** (total - p)
             assert joint.probability(p, total - p) == expected
+
+    def test_occupations_are_checked(self):
+        bs = hl.BeamSplitter(0.3)
+        with pytest.raises(hl.RangeError):
+            hl.amplitude_expansion(1.5, 0.5, bs)
+        with pytest.raises(hl.LatticeError):
+            hl.amplitude_expansion(-1, 2, bs)
+
+    @pytest.mark.parametrize("cap_k, cap_l", [(2, 1), (9, 8)], ids=["sum", "kernel"])
+    @pytest.mark.parametrize("mode", [hl.FLOAT, hl.RATIONAL], ids=["float", "exact"])
+    def test_numpy_occupations(self, cap_k, cap_l, mode):
+        bs = hl.BeamSplitter.exact("3/10")
+        got = hl.amplitude_expansion(np.int64(cap_k), np.int32(cap_l), bs, mode)
+        assert got == hl.amplitude_expansion(cap_k, cap_l, bs, mode)
 
     def test_exact_equals_closed_form(self):
         for total in range(0, 11):

@@ -1,4 +1,5 @@
 """The array-backed joint counts against the dict path, and what they hold in memory."""
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -168,6 +169,16 @@ class TestValueSemantics:
     def test_from_arrays_rejects_bad_counts(self, ps, qs, probs):
         with pytest.raises(hl.RangeError):
             hl.JointCountDistribution.from_arrays(ps, qs, probs)
+
+    @pytest.mark.parametrize("mode", [hl.FLOAT, hl.RATIONAL], ids=["float", "exact"])
+    @pytest.mark.parametrize("read_entries", [False, True], ids=["fresh", "entries_read"])
+    def test_pickle_round_trip(self, mode, read_entries):
+        joint = hl.amplitude_expansion(2, 1, hl.BeamSplitter.exact("1/5"), mode)
+        if read_entries:
+            assert joint.entries  # caches the read-only mapping on the instance
+        again = pickle.loads(pickle.dumps(joint))
+        assert again == joint and again.probs.dtype == joint.probs.dtype
+        assert not any(array.flags.writeable for array in (again.ps, again.qs, again.probs))
 
     def test_from_arrays_checks_probabilities(self):
         with pytest.raises(hl.RangeError):

@@ -147,14 +147,6 @@ class TestDeltaDistribution:
         assert dist.prob(1) == 0
         assert dist.prob(4) == 0
 
-    def test_from_mapping_rejects_off_lattice_mass(self):
-        with pytest.raises(hl.LatticeError):
-            hl.DeltaDistribution.from_mapping(2, {1: 0.5, 2: 0.5})
-
-    def test_from_mapping_embeds(self):
-        dist = hl.DeltaDistribution.from_mapping(2, {-2: 0.5, 2: 0.5})
-        assert dist.probs == (0.5, 0.0, 0.5)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("kind", [tuple, list, np.array])
     def test_non_finite_entries_rejected(self, bad, kind):
@@ -257,7 +249,7 @@ class TestJointAndMarginal:
     def test_marginal_embeds_into_distribution(self):
         joint = hl.amplitude_expansion(3, 1, hl.BeamSplitter(0.42))
         marginal = hl.delta_marginal(joint)
-        dist = hl.DeltaDistribution.from_mapping(4, marginal)
+        dist = hl.DeltaDistribution(4, [marginal.get(d, 0) for d in hl.delta_lattice(4)])
         assert math.isclose(sum(dist.to_floats()), 1.0, abs_tol=1e-12)
 
 

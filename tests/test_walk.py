@@ -31,28 +31,34 @@ def _dense(total):
 
 
 class TestHopping:
+    """The couplings of `build_hamiltonian`, read edge by edge."""
+
     @pytest.mark.parametrize(
         "total, delta, expected",
         [(2, 2, math.sqrt(2)), (50, 50, 0.5 * math.sqrt(200)), (1, 1, 1.0)],
     )
     def test_values(self, total, delta, expected):
-        assert math.isclose(hl.hopping_amplitude(total, delta), expected)
+        # the edge between delta and delta - 2
+        assert math.isclose(hl.build_hamiltonian(total)[(delta + total) // 2 - 1], expected)
+
+    @pytest.mark.parametrize("total", [0, 1, 2, 7, 50, 1000])
+    def test_entries_are_the_rounded_formula(self, total):
+        expected = [0.5 * math.sqrt((total + d) * (total - d + 2)) for d in range(-total + 2, total + 1, 2)]
+        assert hl.build_hamiltonian(total).tolist() == expected
 
     def test_symmetric_in_site_labels(self):
-        # amplitude on the edge (delta, delta-2) read from either endpoint
-        for total, delta in [(6, 4), (9, -1), (12, 0)]:
-            ham = _dense(total)
-            i = (delta + total) // 2
-            assert ham[i, i - 1] == ham[i - 1, i]
-
-    def test_missing_edge_rejected(self):
-        with pytest.raises(hl.LatticeError):
-            hl.hopping_amplitude(4, -4)
-        with pytest.raises(hl.LatticeError):
-            hl.hopping_amplitude(4, 3)
+        # sqrt((S+d)(S-d+2))/2 is unchanged by d -> -d+2, which reverses the edges
+        for total in (0, 1, 6, 9, 12, 51):
+            couplings = hl.build_hamiltonian(total)
+            assert couplings.tolist() == couplings[::-1].tolist()
 
 
 class TestHamiltonian:
+    @pytest.mark.parametrize("total", [-1, 2.5, 2.0])
+    def test_invalid_total_rejected(self, total):
+        with pytest.raises(hl.RangeError):
+            hl.build_hamiltonian(total)
+
     def test_s1(self):
         assert hl.build_hamiltonian(1).tolist() == [1.0]
 
