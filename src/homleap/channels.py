@@ -119,13 +119,6 @@ class MixedFockSource:
         """Probability of k surviving photons, k = 0..K; sums to 1."""
         return _binomial(self.nominal, self.eta)
 
-    def mean_photons(self):
-        return self.eta * self.nominal
-
-    def second_factorial_moment(self):
-        """Normally ordered <n(n-1)> = K(K-1) eta^2."""
-        return self.nominal * (self.nominal - 1) * self.eta**2
-
 
 @dataclass(frozen=True)
 class Detector:

@@ -1,18 +1,19 @@
 """Closed-form output statistics of two Fock states meeting at a beam splitter.
 
-`amplitude_expansion` expands the output state term by term and squares
-collected amplitudes; the single-sum closed form (`_closed_form`, exact mode
-only) evaluates each outcome directly over integers, as the referee of the
-float routes.  The port/sign convention is pinned by the single-photon
-case: a photon entering the first mode leaves through the first port with
-probability 1-r, so r = 0 is the identity and r = 1 maps Delta to -Delta.
+The port/sign convention is pinned by the single-photon case: a photon
+entering the first mode leaves through the first port with probability
+1-r, so r = 0 is the identity and r = 1 maps Delta to -Delta.
 
-`_counts` returns the lossless count vector P(p), p = 0..K+L, shared by
-`amplitude_expansion`, float `distribution` and the channels.  Exact mode
-evaluates the expansion's alternating sum per outcome (`_count_probability`)
-in Fractions.  Float mode uses one algorithm on each side of one size seam:
-that sum at and below DIRECT_FLOAT_LIMIT, the squared eigenvector column of
-`walk` above it.
+`_counts` is the one lossless router.  It returns the count vector P(p),
+p = 0..K+L, that `distribution`, `amplitude_expansion` and the channels
+read, and picks its route in this order: an exact point mass at r in
+{0, 1}; the output-state expansion's alternating sum per outcome
+(`_count_probability`), in Fractions in exact mode and in floats at and
+below DIRECT_FLOAT_LIMIT; the squared eigenvector column of `walk` above
+it.  `prob_delta_out` takes one entry on the same routes in O(S).  The
+single-sum closed form (`_closed_form`, exact, 0 < r < 1) is a different
+sum for the same entry and no production route: it is the referee of
+`check` and the tests.
 """
 from __future__ import annotations
 
@@ -51,13 +52,8 @@ def _term_range(total, delta, delta_out):
     return lo, hi
 
 
-def _point_mass(total: int, at: int, exact: bool) -> DeltaDistribution:
-    one = Fraction(1) if exact else 1.0
-    return DeltaDistribution(total, tuple(one * (d == at) for d in range(-total, total + 1, 2)))
-
-
 def _closed_form(total, delta, delta_out, r):
-    """Single-sum closed form in exact rational arithmetic.
+    """Single-sum closed form in exact rational arithmetic, 0 < r < 1; the referee.
 
     With r = a/b the summands C(f-, k) C(f+, f+out - k) (-a / (b-a))^k share
     the denominator (b-a)^hi, so the sum runs over integers.
@@ -114,8 +110,13 @@ def _count_probability(cap_k, cap_l, p, r):
 def _counts(mode_a: int, mode_b: int, bs: BeamSplitter, mode: NumericMode = FLOAT) -> Sequence:
     """Lossless P(p) for p = 0..K+L photons leaving by the first port of |K>|L>."""
     total = mode_a + mode_b
+    r = bs.value(mode.is_exact)
+    # endpoints short-circuit before any division by r or 1-r
+    if r in (0, 1):
+        one = Fraction(1) if mode.is_exact else 1.0
+        return [one * (p == (mode_a if r == 0 else mode_b)) for p in range(total + 1)]
     if mode.is_exact or total <= DIRECT_FLOAT_LIMIT:
-        r = bs.value(exact=True) if mode.is_exact else float(bs.reflectivity)
+        r = r if mode.is_exact else float(r)
         return [_count_probability(mode_a, mode_b, p, r) for p in range(total + 1)]
     # through the module attribute, which a profiler may wrap
     return walk.rotation_probabilities(total, mode_a - mode_b, 2.0 * bs.theta)
@@ -124,40 +125,30 @@ def _counts(mode_a: int, mode_b: int, bs: BeamSplitter, mode: NumericMode = FLOA
 def prob_delta_out(
     pair: FockPair, bs: BeamSplitter, delta_out: int, mode: NumericMode = FLOAT
 ):
-    """Probability of measuring population difference delta_out.
-
-    Exact Fraction in rational mode (requires a rational beam splitter),
-    float otherwise.
-    """
-    total, delta = pair.total, pair.delta
+    """Entry delta_out of `distribution` in O(S): exact Fraction in rational mode
+    (which needs a rational beam splitter), float otherwise."""
+    total = pair.total
     if abs(delta_out) > total or (total - delta_out) % 2 != 0:
         raise LatticeError(f"{delta_out} is off the lattice of S={total}")
     r = bs.value(mode.is_exact)
     p = (delta_out + total) // 2
-    # endpoints short-circuit before any division by r or 1-r
     if r in (0, 1):
-        return _point_mass(total, delta if r == 0 else -delta, mode.is_exact).probs[p]
-    if mode.is_exact:
-        return _closed_form(total, delta, delta_out, r)
-    if total <= DIRECT_FLOAT_LIMIT:
-        return _count_probability(pair.mode_a, pair.mode_b, p, float(r))
-    amplitude = walk.wigner_d(total, delta_out, delta, 2.0 * bs.theta)
+        return _counts(pair.mode_a, pair.mode_b, bs, mode)[p]
+    if mode.is_exact or total <= DIRECT_FLOAT_LIMIT:
+        return _count_probability(pair.mode_a, pair.mode_b, p, r if mode.is_exact else float(r))
+    amplitude = walk.wigner_d(total, delta_out, pair.delta, 2.0 * bs.theta)
     return amplitude * amplitude
 
 
 def distribution(
     pair: FockPair, bs: BeamSplitter, mode: NumericMode = FLOAT
 ) -> DeltaDistribution:
-    """Closed-form distribution over the full Delta_out lattice."""
-    total, delta = pair.total, pair.delta
-    r = bs.value(mode.is_exact)
-    if r in (0, 1):
-        return _point_mass(total, delta if r == 0 else -delta, mode.is_exact)
-    if mode.is_exact:
-        probs = [_closed_form(total, delta, d, r) for d in pair.lattice()]
-    else:
-        probs = _counts(pair.mode_a, pair.mode_b, bs)
-    return DeltaDistribution(total, probs)
+    """Distribution over the full Delta_out lattice: the count vector of `_counts`.
+
+    Entry i is P(p = i), Delta_out = 2i - S; the route is the one `_counts`
+    picks (point mass, alternating sum or kernel column).
+    """
+    return DeltaDistribution(pair.total, _counts(pair.mode_a, pair.mode_b, bs, mode))
 
 
 def amplitude_expansion(
@@ -167,9 +158,8 @@ def amplitude_expansion(
 
     Expands (sqrt(1-r) c1 - sqrt(r) c2)^K (sqrt(r) c1 + sqrt(1-r) c2)^L
     over the two output-port creation operators, collects the amplitude on
-    each (p, q) with p + q = K + L, and squares.  Agrees with
-    `distribution` through the Delta_out marginal; above DIRECT_FLOAT_LIMIT
-    the float result is that marginal re-keyed.
+    each (p, q) with p + q = K + L, and squares.  The counts are those of
+    `_counts`, on its route, so the Delta_out marginal is `distribution`.
     """
     mode_a = _integer(mode_a, "mode occupation")
     mode_b = _integer(mode_b, "mode occupation")

@@ -8,9 +8,12 @@ the tests up to a single global constant.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Union
+
+import numpy as np
 
 from .errors import DegenerateError, RangeError
 from .states import DeltaDistribution
@@ -18,21 +21,33 @@ from .states import DeltaDistribution
 Number = Union[int, float, Fraction]
 
 
-def _items(dist):
+def _arrays(dist):
+    """Delta_out keys in increasing order and their probabilities, as two arrays."""
     if isinstance(dist, DeltaDistribution):
-        return list(dist.items())
-    return sorted(dist.items())
+        return np.arange(-dist.total, dist.total + 1, 2), np.array(dist.probs)
+    keys, probs = zip(*sorted(dist.items()))
+    return np.array(keys), np.array(probs)
+
+
+def _sum(values: np.ndarray):
+    """Exact sum of ints and Fractions; correctly rounded `math.fsum` of floats,
+    the same on every Python (the built-in float sum is compensated from 3.12)."""
+    if values.dtype.kind == "f":
+        return math.fsum(values.tolist())
+    return sum(values.tolist())
 
 
 def mean_delta(dist):
     """First moment of Delta_out over a distribution or marginal map."""
-    return sum(d * p for d, p in _items(dist))
+    keys, probs = _arrays(dist)
+    return _sum(keys * probs)
 
 
 def variance_delta(dist):
     """Second central moment of Delta_out."""
     mean = mean_delta(dist)
-    return sum(p * (d - mean) ** 2 for d, p in _items(dist))
+    keys, probs = _arrays(dist)
+    return _sum(probs * (keys - mean) ** 2)
 
 
 def _check_reflectivity(r):
@@ -122,26 +137,22 @@ def parity_violation(dist, total: int | None = None):
     nominal total so the reference parity is known.
     """
     if isinstance(dist, DeltaDistribution):
-        reference = dist.total
-        items = list(dist.items())
-    else:
-        if total is None:
-            raise RangeError("a plain marginal needs the nominal photon total")
-        reference = total
-        items = sorted(dist.items())
-    worst = 0
-    for delta_out, prob in items:
-        if (reference - delta_out) % 2 != 0 and prob > worst:
-            worst = prob
-    return worst
+        total = dist.total
+    elif total is None:
+        raise RangeError("a plain marginal needs the nominal photon total")
+    keys, probs = _arrays(dist)
+    # 0 first: max keeps the int when nothing off the lattice is positive
+    return max([0, *probs[(total - keys) % 2 != 0].tolist()])
 
 
 def tv_distance(dist_a, dist_b):
     """Total variation distance, supports united with zeros."""
-    map_a = dict(_items(dist_a))
-    map_b = dict(_items(dist_b))
-    keys = set(map_a) | set(map_b)
-    return sum(abs(map_a.get(k, 0) - map_b.get(k, 0)) for k in keys) / 2
+    (keys_a, probs_a), (keys_b, probs_b) = _arrays(dist_a), _arrays(dist_b)
+    keys = np.union1d(keys_a, keys_b)
+    gap = np.zeros(keys.size, dtype=np.result_type(probs_a, probs_b))
+    gap[np.searchsorted(keys, keys_a)] += probs_a
+    gap[np.searchsorted(keys, keys_b)] -= probs_b
+    return _sum(np.abs(gap)) / 2
 
 
 def transfer_fidelity(dist: DeltaDistribution, delta: int):

@@ -135,10 +135,6 @@ class BeamSplitter:
         return cls(float(frac), frac)
 
     @property
-    def transmissivity(self) -> float:
-        return 1.0 - self.reflectivity
-
-    @property
     def theta(self) -> float:
         """Mixing angle in radians, r = sin^2(theta); atan2 stays accurate as r -> 1."""
         r = self.reflectivity

@@ -440,10 +440,11 @@ class TestVisibilityLossInvariance:
         for nominal_a, nominal_b, eta in [(5, 5, Fraction(4, 5)), (10, 2, Fraction(1, 3))]:
             src_a = hl.MixedFockSource(nominal_a, eta)
             src_b = hl.MixedFockSource(nominal_b, eta)
+            # mean photons eta K, normally ordered <n(n-1)> = K(K-1) eta^2
             mixed = hl.visibility_from_moments(
-                src_a.mean_photons() * src_b.mean_photons(),
-                src_a.second_factorial_moment(),
-                src_b.second_factorial_moment(),
+                src_a.eta * src_a.nominal * src_b.eta * src_b.nominal,
+                src_a.nominal * (src_a.nominal - 1) * src_a.eta**2,
+                src_b.nominal * (src_b.nominal - 1) * src_b.eta**2,
                 r,
             )
             pure = hl.visibility_fock(nominal_a, nominal_b, r)

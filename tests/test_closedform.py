@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import homleap as hl
+from homleap.closedform import _closed_form
 
 HALF = hl.BeamSplitter.exact(Fraction(1, 2))
 
@@ -109,12 +110,49 @@ class TestAmplitudeExpansion:
                 bs = hl.BeamSplitter.exact(r)
                 for delta in range(-total, total + 1, 2):
                     pair = hl.FockPair(total, delta)
-                    closed = hl.distribution(pair, bs, hl.RATIONAL)
                     marginal = hl.delta_marginal(
                         hl.amplitude_expansion(pair.mode_a, pair.mode_b, bs, hl.RATIONAL)
                     )
+                    # the single-sum referee: `distribution` reads the expansion's counts
                     for delta_out in pair.lattice():
-                        assert closed.prob(delta_out) == marginal.get(delta_out, 0)
+                        closed = _closed_form(total, delta, delta_out, r)
+                        assert closed == marginal.get(delta_out, 0)
+
+
+class TestRouter:
+    """`_counts` picks every lossless route, and every lossless caller reads it."""
+
+    @pytest.mark.parametrize("mode", [hl.FLOAT, hl.RATIONAL], ids=["float", "exact"])
+    @pytest.mark.parametrize("r", [0, 1])
+    @pytest.mark.parametrize("cap_k, cap_l", [(20, 10), (7, 7)])
+    def test_endpoints_are_one_point_mass(self, cap_k, cap_l, r, mode):
+        bs = hl.BeamSplitter.exact(r)
+        pair = hl.FockPair.from_modes(cap_k, cap_l)
+        dist = hl.distribution(pair, bs, mode)
+        assert dist.prob(pair.delta if r == 0 else -pair.delta) == 1
+        assert sum(p != 0 for p in dist.probs) == 1
+        expanded = hl.amplitude_expansion(cap_k, cap_l, bs, mode)
+        assert hl.delta_marginal(expanded) == dict(dist.items())
+        assert hl.decohere_distribution(pair, hl.DistinguishabilityAngle(0.0), bs, mode) == dist
+        sources = hl.MixedFockSource(cap_k, 1), hl.MixedFockSource(cap_l, 1)
+        assert hl.delta_marginal(hl.mixed_distribution(*sources, bs, mode)) == dict(dist.items())
+
+    @pytest.mark.parametrize("r, lowest", [(0.0, -10), (1.0, -20)])
+    def test_lossy_endpoint_support(self, r, lowest):
+        # the point mass at (p, q) = (20, 10) or (10, 20), thinned: 31 keys, not 61
+        joint = hl.amplitude_expansion(20, 10, hl.BeamSplitter(r))
+        lossy = hl.apply_detector_loss(joint, hl.Detector(efficiency=0.9))
+        assert list(hl.delta_marginal(lossy)) == list(range(lowest, lowest + 31))
+
+    def test_exact_point_query_is_the_referee(self):
+        for r in (Fraction(1, 10), Fraction(3, 7), Fraction(9, 10)):
+            bs = hl.BeamSplitter.exact(r)
+            for total in range(11):
+                for delta in range(-total, total + 1, 2):
+                    pair = hl.FockPair(total, delta)
+                    for delta_out in pair.lattice():
+                        closed = _closed_form(total, delta, delta_out, r)
+                        assert hl.prob_delta_out(pair, bs, delta_out, hl.RATIONAL) == closed
 
 
 class TestInvariants:
@@ -146,8 +184,8 @@ class TestInvariants:
 
     @pytest.mark.parametrize("total", [33, 50])
     def test_large_s_float_path_matches_oracle(self, total):
-        # above the direct-evaluation limit the float path rides the Wigner
-        # recurrence; it must stay glued to the eigendecomposition route
+        # above DIRECT_FLOAT_LIMIT the float path is one `dstein` inverse
+        # iteration; it must stay glued to the eigendecomposition route
         bs = hl.BeamSplitter(0.37)
         for delta in (0, -total // 2, total):
             if (total - delta) % 2:
@@ -158,7 +196,7 @@ class TestInvariants:
             assert max(abs(a - b) for a, b in zip(stable, evolved)) < 1e-12
 
     def test_direct_float_path_matches_exact(self):
-        # S <= 30 keeps the literal alternating sum; compare to rationals
+        # above S = 12 the float path is the kernel column; compare to rationals
         worst = 0.0
         for total in (18, 27, 30):
             for r in (Fraction(1, 10), Fraction(9, 10)):

@@ -56,6 +56,20 @@ class TestMoments:
         assert hl.mean_delta(dist) == hl.predicted_mean(6, 2, r)
         assert hl.variance_delta(dist) == hl.predicted_variance(6, 2, r)
 
+    @pytest.mark.parametrize(
+        "total, delta, mean, variance", [(30, -10, -6.0, 275.2), (50, -30, -18.0, 544.0)]
+    )
+    def test_float_moments_are_correctly_rounded(self, total, delta, mean, variance):
+        # fixed vectors, the exact distribution at r = 1/5 rounded entry by entry:
+        # fsum gives these bytes on every Python, where the built-in float sum
+        # gives -5.999999999999998 and 544.0000000000002 before 3.12
+        bs = hl.BeamSplitter.exact("1/5")
+        exact = hl.distribution(hl.FockPair(total, delta), bs, hl.RATIONAL)
+        rounded = hl.DeltaDistribution(total, [float(p) for p in exact.probs])
+        for dist in (rounded, dict(rounded.items())):
+            assert hl.mean_delta(dist) == mean
+            assert hl.variance_delta(dist) == variance
+
     def test_variance_maximal_at_half(self):
         values = [hl.predicted_variance(12, 4, r) for r in np.linspace(0, 1, 21)]
         assert max(values) == values[10]

@@ -80,7 +80,7 @@ class TestLattice:
 class TestBeamSplitter:
     def test_theta_and_transmissivity(self):
         bs = hl.BeamSplitter(0.5)
-        assert bs.transmissivity == 0.5
+        assert 1.0 - bs.reflectivity == 0.5  # transmissivity, derived as 1 - r
         assert math.isclose(math.sin(bs.theta) ** 2, 0.5)
 
     def test_exact_constructor(self):
